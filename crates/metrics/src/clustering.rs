@@ -10,11 +10,14 @@
 use osn_graph::GraphView;
 use osn_stats::sampling::sample_without_replacement;
 use rand::Rng;
+use std::time::Instant;
 
 /// Local clustering coefficient of one node.
 ///
 /// Nodes of degree < 2 have coefficient 0 (the convention the paper's
-/// network-average uses: they contribute zero to the mean).
+/// network-average uses: they contribute zero to the mean). This is the
+/// reference form; the network averages count the same links through a
+/// marker array instead (see [`average_clustering`]).
 pub fn local_clustering<G: GraphView>(g: &G, node: u32) -> f64 {
     let neigh = g.neighbors(node);
     let d = neigh.len();
@@ -58,12 +61,16 @@ pub fn average_clustering_exact<G: GraphView>(g: &G) -> f64 {
     if n == 0 {
         return 0.0;
     }
-    let sum: f64 = (0..n as u32).map(|u| local_clustering(g, u)).sum();
-    sum / n as f64
+    mean_clustering(g, 0..n as u32)
 }
 
 /// Average clustering coefficient, estimated from `sample_size` uniformly
 /// sampled nodes when the graph is larger than that (exact otherwise).
+///
+/// Both averages equal the mean of [`local_clustering`] over the same
+/// nodes, bit for bit, on any simple graph (every snapshot and live graph
+/// is one): the link counts are the same integers, and the coefficients
+/// are formed and summed in the same order.
 pub fn average_clustering<G: GraphView, R: Rng + ?Sized>(
     g: &G,
     sample_size: usize,
@@ -78,8 +85,48 @@ pub fn average_clustering<G: GraphView, R: Rng + ?Sized>(
     }
     let nodes: Vec<u32> = (0..n as u32).collect();
     let sample = sample_without_replacement(&nodes, sample_size, rng);
-    let sum: f64 = sample.iter().map(|&u| local_clustering(g, u)).sum();
-    sum / sample.len() as f64
+    mean_clustering(g, sample.iter().copied())
+}
+
+/// Mean local clustering coefficient over `nodes`, summed in order.
+///
+/// One marker array serves the whole pass: scoring the `i`-th node stamps
+/// its neighbours with `i + 1`, so no node's marks need clearing and each
+/// neighbour's list is scanned once instead of merged against the node's.
+fn mean_clustering<G: GraphView>(g: &G, nodes: impl ExactSizeIterator<Item = u32>) -> f64 {
+    let started = osn_obs::enabled().then(Instant::now);
+    let count = nodes.len();
+    let mut mark = vec![0u32; g.num_nodes()];
+    let sum: f64 = nodes
+        .zip(1u32..)
+        .map(|(u, stamp)| marked_local_clustering(g, u, &mut mark, stamp))
+        .sum();
+    if let Some(t) = started {
+        osn_obs::histogram!("kernel.clustering_us").record_duration(t.elapsed());
+    }
+    sum / count as f64
+}
+
+/// [`local_clustering`] with the links among `node`'s neighbours found
+/// through `mark` (`mark[v] == stamp` ⇔ `v` neighbours `node`). Each link
+/// is counted once, from its larger end: ids follow join order, so a
+/// hub's list is mostly younger nodes and its prefix below it is short.
+fn marked_local_clustering<G: GraphView>(g: &G, node: u32, mark: &mut [u32], stamp: u32) -> f64 {
+    let neigh = g.neighbors(node);
+    let d = neigh.len();
+    if d < 2 {
+        return 0.0;
+    }
+    for &a in neigh {
+        mark[a as usize] = stamp;
+    }
+    let mut links = 0u64;
+    for &a in neigh {
+        let a_neigh = g.neighbors(a);
+        let below = &a_neigh[..a_neigh.partition_point(|&b| b < a)];
+        links += below.iter().filter(|&&b| mark[b as usize] == stamp).count() as u64;
+    }
+    2.0 * links as f64 / (d as f64 * (d as f64 - 1.0))
 }
 
 /// Global transitivity: `3 × triangles / connected triples`.

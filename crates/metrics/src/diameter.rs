@@ -4,10 +4,11 @@
 //! — the robust variant of the diameter used throughout the graphs-over-
 //! time literature the paper builds on (Leskovec et al.'s "shrinking
 //! diameter" observation, the paper's citation \[21\]). Estimated from
-//! sampled BFS over the giant component.
+//! the hop histogram of sampled BFS sources over the giant component
+//! ([`hop_histogram`], the same multi-source BFS the path length reads).
 
 use crate::components::largest_component;
-use crate::paths::{bfs_distances, UNREACHABLE};
+use crate::paths::hop_histogram;
 use osn_graph::CsrGraph;
 use osn_stats::sampling::sample_without_replacement;
 use rand::Rng;
@@ -27,19 +28,7 @@ pub fn effective_diameter<R: Rng + ?Sized>(
     }
     let sources = sample_without_replacement(&giant, sample_size, rng);
     // Histogram over hop counts (OSN distances are tiny, so a vec works).
-    let mut hist: Vec<u64> = Vec::new();
-    for &s in &sources {
-        let dist = bfs_distances(g, s);
-        for &u in &giant {
-            let d = dist[u as usize];
-            if d != UNREACHABLE && u != s {
-                if hist.len() <= d as usize {
-                    hist.resize(d as usize + 1, 0);
-                }
-                hist[d as usize] += 1;
-            }
-        }
-    }
+    let hist = hop_histogram(g, &giant, &sources);
     let total: u64 = hist.iter().sum();
     if total == 0 {
         return None;

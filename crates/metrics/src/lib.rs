@@ -8,9 +8,10 @@
 //! * [`components`] — connected components via union-find, largest
 //!   component extraction.
 //! * [`clustering`] — exact and sampled average clustering coefficient.
-//! * [`paths`] — BFS, sampled average shortest-path length (the paper
-//!   samples 1000 nodes of the giant component), and early-exit distance
-//!   to a node group.
+//! * [`paths`] — BFS, a bit-parallel multi-source BFS (64 sources per
+//!   batch) giving the hop-distance histogram, sampled average
+//!   shortest-path length (the paper samples 1000 nodes of the giant
+//!   component), and early-exit distance to a node group.
 //! * [`diameter`] — sampled effective (90th-percentile) diameter, the
 //!   robust diameter of the graphs-over-time literature.
 //! * [`kcore`] — linear-time k-core decomposition (Batagelj–Zaversnik).

@@ -1,11 +1,19 @@
 //! Telemetry integration: counters and histograms recorded concurrently
-//! from `try_par_map` worker threads must add up exactly.
+//! from `try_par_map` worker threads must add up exactly, and the sampled
+//! kernels record their time under global names.
+//!
+//! Every test takes `osn_obs::test_gate()` first: the registry is global,
+//! so a test running beside another would see its counts.
 
+use osn_graph::CsrGraph;
 use osn_metrics::supervisor::{try_par_map, SupervisorConfig, TaskError};
+use osn_metrics::{average_clustering, avg_path_length_sampled, effective_diameter};
+use osn_stats::rng_from_seed;
 use std::time::Duration;
 
 #[test]
 fn concurrent_workers_count_exactly() {
+    let _gate = osn_obs::test_gate();
     osn_obs::set_enabled(true);
     let before_attempts = osn_obs::counter("supervisor.attempts").value();
     let before_ok = osn_obs::counter("supervisor.tasks_ok").value();
@@ -46,6 +54,7 @@ fn concurrent_workers_count_exactly() {
 
 #[test]
 fn retries_and_failures_are_counted() {
+    let _gate = osn_obs::test_gate();
     osn_obs::set_enabled(true);
     let before_retries = osn_obs::counter("supervisor.retries").value();
     let before_failed = osn_obs::counter("supervisor.tasks_failed").value();
@@ -70,4 +79,28 @@ fn retries_and_failures_are_counted() {
     );
     // Kind-specific counter accumulated too.
     assert!(osn_obs::counter("supervisor.failed.transient-exhausted").value() >= 6);
+}
+
+#[test]
+fn kernels_record_time_and_sources() {
+    let _gate = osn_obs::test_gate();
+    osn_obs::set_enabled(true);
+    let paths = || osn_obs::histogram("kernel.paths_us").snapshot().count;
+    let clustering = || osn_obs::histogram("kernel.clustering_us").snapshot().count;
+    let sources = || osn_obs::counter("kernel.path_sources").value();
+    let (paths_before, clustering_before, sources_before) = (paths(), clustering(), sources());
+
+    // A 100-node ring is one component, so every requested source is drawn.
+    let edges: Vec<(u32, u32)> = (0..100).map(|i| (i, (i + 1) % 100)).collect();
+    let g = CsrGraph::from_edges(100, &edges);
+    let mut rng = rng_from_seed(5);
+    assert!(avg_path_length_sampled(&g, 70, &mut rng).is_some());
+    assert!(effective_diameter(&g, 0.9, 30, &mut rng).is_some());
+    average_clustering(&g, 40, &mut rng);
+    // Larger than the graph: the exact average, still one kernel call.
+    average_clustering(&g, 400, &mut rng);
+
+    assert_eq!(paths() - paths_before, 2, "one record per path kernel call");
+    assert_eq!(sources() - sources_before, 100);
+    assert_eq!(clustering() - clustering_before, 2);
 }
