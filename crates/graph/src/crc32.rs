@@ -1,17 +1,23 @@
 //! CRC-32 (IEEE 802.3, reflected polynomial `0xEDB88320`).
 //!
 //! Used by the v2 trace format in [`crate::io`] to checksum event-line
-//! chunks and the whole-file footer. The table is generated at compile
-//! time; the implementation matches the ubiquitous zlib/`cksum -o 3`
-//! variant so checksums can be cross-checked with external tools.
+//! chunks and the whole-file footer. The implementation matches the
+//! ubiquitous zlib/`cksum -o 3` variant so checksums can be cross-checked
+//! with external tools.
+//!
+//! [`Crc32::update`] is table-driven slicing-by-8: eight 256-entry tables,
+//! built at compile time, fold eight input bytes per step instead of one.
+//! `TABLES[0]` is the classic bytewise table; `TABLES[k][b]` is the CRC
+//! state after `b` is followed by `k` zero bytes, so the eight lookups of
+//! one step can be XORed together independently.
 
 /// Reflected IEEE polynomial.
 const POLY: u32 = 0xEDB8_8320;
 
-const TABLE: [u32; 256] = build_table();
+const TABLES: [[u32; 256]; 8] = build_tables();
 
-const fn build_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+const fn build_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -24,10 +30,20 @@ const fn build_table() -> [u32; 256] {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
 /// Streaming CRC-32 hasher.
@@ -50,9 +66,23 @@ impl Crc32 {
 
     /// Feed bytes into the checksum.
     pub fn update(&mut self, bytes: &[u8]) {
+        let t = &TABLES;
         let mut crc = self.state;
-        for &b in bytes {
-            crc = (crc >> 8) ^ TABLE[((crc ^ b as u32) & 0xFF) as usize];
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+            let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+            crc = t[7][(lo & 0xFF) as usize]
+                ^ t[6][((lo >> 8) & 0xFF) as usize]
+                ^ t[5][((lo >> 16) & 0xFF) as usize]
+                ^ t[4][(lo >> 24) as usize]
+                ^ t[3][(hi & 0xFF) as usize]
+                ^ t[2][((hi >> 8) & 0xFF) as usize]
+                ^ t[1][((hi >> 16) & 0xFF) as usize]
+                ^ t[0][(hi >> 24) as usize];
+        }
+        for &b in words.remainder() {
+            crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
         }
         self.state = crc;
     }

@@ -1,0 +1,566 @@
+//! v2 framing, shared by the batch reader
+//! ([`crate::io::read_log_with_policy`]) and the tailer
+//! ([`crate::tail::TailReader`]).
+//!
+//! Both readers drive the same four parts and keep only their policies:
+//!
+//! * [`Lines`] splits a byte stream into lines over one reused 64 KiB
+//!   block, with no allocation per line.
+//! * [`Framer`] classifies each trimmed line and holds the open chunk's
+//!   payload lines back to back — exactly the bytes its CRC covers — so
+//!   the line count, the chunk CRC and the footer are verified here and
+//!   nowhere else.
+//! * [`parse_payload`] parses a committed payload line, with a fast path
+//!   for the exact spelling the writers emit; [`parse_event_line`] stays
+//!   the one definition of the grammar and its error messages.
+//! * The CRC itself is [`crate::crc32::Crc32`].
+//!
+//! A dropped chunk (count or CRC mismatch, or no directive before the
+//! footer) is one problem however many lines it held: both readers
+//! charge it as one unit of a `Skip` error budget.
+
+use crate::crc32::{crc32, Crc32};
+use crate::event::Origin;
+use crate::io::{ParseError, FORMAT_V2_MAGIC};
+use std::io::{self, Read};
+
+/// Size of the [`Lines`] block buffer. A longer line grows the buffer.
+const BLOCK: usize = 64 * 1024;
+
+/// Splits a reader into lines over one reused block buffer.
+pub(crate) struct Lines<R> {
+    r: R,
+    buf: Vec<u8>,
+    /// Unconsumed bytes are `buf[start..end]`.
+    start: usize,
+    end: usize,
+    eof: bool,
+}
+
+impl<R: Read> Lines<R> {
+    pub(crate) fn new(r: R) -> Self {
+        Lines {
+            r,
+            buf: vec![0; BLOCK],
+            start: 0,
+            end: 0,
+            eof: false,
+        }
+    }
+
+    /// The next line including its `\n` (absent only on a final
+    /// unterminated line), or `None` at end of stream. Interrupted reads
+    /// are retried, so a signal never aborts a read mid-trace.
+    pub(crate) fn next_line(&mut self) -> io::Result<Option<&[u8]>> {
+        let mut scanned = self.start;
+        loop {
+            if let Some(i) = self.buf[scanned..self.end].iter().position(|&b| b == b'\n') {
+                let line = self.start..scanned + i + 1;
+                self.start = line.end;
+                return Ok(Some(&self.buf[line]));
+            }
+            if self.eof {
+                if self.start == self.end {
+                    return Ok(None);
+                }
+                let line = self.start..self.end;
+                self.start = self.end;
+                return Ok(Some(&self.buf[line]));
+            }
+            scanned = self.end - self.start;
+            self.fill()?;
+        }
+    }
+
+    /// Move the unconsumed bytes to the front, grow the buffer if they
+    /// fill it, and read once more.
+    fn fill(&mut self) -> io::Result<()> {
+        if self.start > 0 {
+            self.buf.copy_within(self.start..self.end, 0);
+            self.end -= self.start;
+            self.start = 0;
+        }
+        if self.end == self.buf.len() {
+            self.buf.resize(2 * self.buf.len(), 0);
+        }
+        let n = loop {
+            match self.r.read(&mut self.buf[self.end..]) {
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                read => break read?,
+            }
+        };
+        self.end += n;
+        self.eof = n == 0;
+        Ok(())
+    }
+}
+
+/// A `#%` line that is neither a well-formed chunk directive nor a
+/// well-formed footer. Each reader words its own error from it.
+pub(crate) enum BadDirective<'a> {
+    /// The line is not valid UTF-8.
+    NotUtf8,
+    /// `#%chunk …` whose fields do not parse; carries the whole line.
+    Chunk(&'a str),
+    /// `#%end …` whose fields do not parse; carries the whole line.
+    End(&'a str),
+    /// A second format magic.
+    Magic,
+    /// Any other directive; carries the whole line.
+    Unknown(&'a str),
+}
+
+/// What one line of a v2 stream did to the framing state.
+pub(crate) enum Frame<'a> {
+    /// A blank line or an ordinary `#` comment: not checksummed.
+    Comment,
+    /// A payload line, buffered until its chunk directive.
+    Buffered,
+    /// A payload line after the footer (not buffered).
+    AfterFooter,
+    /// A chunk directive whose line count and CRC verified. Its lines now
+    /// count towards the footer; parse them in order.
+    Verified(Chunk<'a>),
+    /// A chunk directive whose line count or CRC did not match: the chunk
+    /// is dropped, for this reason.
+    Dropped(String),
+    /// A well-formed footer. `dropped` is set when buffered lines had no
+    /// chunk directive (they are dropped first); `verdict` says whether
+    /// the footer's count and CRC match the committed payload.
+    Footer {
+        dropped: Option<String>,
+        verdict: Result<(), String>,
+    },
+    /// Any other `#%` line. The open chunk is left as it was.
+    Bad(BadDirective<'a>),
+}
+
+/// The v2 framing state: the open chunk and the footer's running totals.
+#[derive(Debug, Default)]
+pub(crate) struct Framer {
+    /// The open chunk's trimmed payload lines, each followed by `\n`.
+    open: Vec<u8>,
+    /// `(line number, end offset in open)` per buffered line.
+    open_lines: Vec<(usize, usize)>,
+    /// The last verified chunk, handed out as a [`Chunk`].
+    done: Vec<u8>,
+    done_lines: Vec<(usize, usize)>,
+    /// CRC over every committed payload line (the footer's `crc=`).
+    total: Crc32,
+    /// Payload lines committed (the footer's `events=`, which includes
+    /// lines a policy later discards as malformed).
+    committed: u64,
+    footer_seen: bool,
+}
+
+impl Framer {
+    /// Line numbers of the open chunk's buffered payload lines.
+    pub(crate) fn pending_lines(&self) -> impl Iterator<Item = usize> + '_ {
+        self.open_lines.iter().map(|&(ln, _)| ln)
+    }
+
+    /// Number of buffered payload lines in the open chunk.
+    pub(crate) fn pending(&self) -> usize {
+        self.open_lines.len()
+    }
+
+    /// Forget the open chunk's buffered lines.
+    pub(crate) fn discard_open(&mut self) {
+        self.open.clear();
+        self.open_lines.clear();
+    }
+
+    /// Whether a well-formed footer has been fed.
+    pub(crate) fn footer_seen(&self) -> bool {
+        self.footer_seen
+    }
+
+    /// Feed line `lineno`, already trimmed.
+    pub(crate) fn feed<'a>(&'a mut self, lineno: usize, t: &'a [u8]) -> Frame<'a> {
+        match t {
+            [] => Frame::Comment,
+            [b'#', b'%', ..] => self.directive(t),
+            [b'#', ..] => Frame::Comment,
+            _ if self.footer_seen => Frame::AfterFooter,
+            _ => {
+                self.open.extend_from_slice(t);
+                self.open.push(b'\n');
+                self.open_lines.push((lineno, self.open.len()));
+                Frame::Buffered
+            }
+        }
+    }
+
+    fn directive<'a>(&'a mut self, t: &'a [u8]) -> Frame<'a> {
+        let Ok(directive) = std::str::from_utf8(t) else {
+            return Frame::Bad(BadDirective::NotUtf8);
+        };
+        if let Some(rest) = directive.strip_prefix("#%chunk ") {
+            match parse_directive(rest, "lines=") {
+                Some((lines, crc)) => self.close_chunk(lines, crc),
+                None => Frame::Bad(BadDirective::Chunk(directive)),
+            }
+        } else if let Some(rest) = directive.strip_prefix("#%end ") {
+            match parse_directive(rest, "events=") {
+                Some((events, crc)) => self.footer(events, crc),
+                None => Frame::Bad(BadDirective::End(directive)),
+            }
+        } else if directive == FORMAT_V2_MAGIC {
+            Frame::Bad(BadDirective::Magic)
+        } else {
+            Frame::Bad(BadDirective::Unknown(directive))
+        }
+    }
+
+    fn close_chunk(&mut self, lines: usize, crc: u32) -> Frame<'_> {
+        // Only pay for the timestamp when telemetry is on.
+        let started = osn_obs::enabled().then(std::time::Instant::now);
+        let read = self.open_lines.len();
+        let verdict = if lines != read {
+            Err(format!("chunk declares {lines} lines but {read} were read"))
+        } else {
+            let got = crc32(&self.open);
+            if crc == got {
+                Ok(())
+            } else {
+                Err(format!(
+                    "chunk checksum mismatch: expected {crc:08x}, got {got:08x}"
+                ))
+            }
+        };
+        if let Some(t0) = started {
+            osn_obs::histogram!("ingest.chunk_verify_us").record_duration(t0.elapsed());
+        }
+        match verdict {
+            Ok(()) => {
+                self.total.update(&self.open);
+                self.committed += read as u64;
+                std::mem::swap(&mut self.open, &mut self.done);
+                std::mem::swap(&mut self.open_lines, &mut self.done_lines);
+                self.discard_open();
+                Frame::Verified(Chunk {
+                    bytes: &self.done,
+                    lines: self.done_lines.iter(),
+                    start: 0,
+                })
+            }
+            Err(reason) => {
+                self.discard_open();
+                Frame::Dropped(reason)
+            }
+        }
+    }
+
+    fn footer(&mut self, events: usize, crc: u32) -> Frame<'_> {
+        let dropped = (!self.open_lines.is_empty()).then(|| {
+            self.discard_open();
+            "unterminated chunk before footer".to_string()
+        });
+        let got = self.total.finalize();
+        let verdict = if events as u64 == self.committed && crc == got {
+            Ok(())
+        } else {
+            Err(format!(
+                "footer mismatch: declared {events} events crc {crc:08x}, \
+                 committed {} events crc {got:08x}",
+                self.committed
+            ))
+        };
+        self.footer_seen = true;
+        Frame::Footer { dropped, verdict }
+    }
+}
+
+/// The lines of a verified chunk: `(line number, trimmed bytes)`.
+pub(crate) struct Chunk<'a> {
+    bytes: &'a [u8],
+    lines: std::slice::Iter<'a, (usize, usize)>,
+    start: usize,
+}
+
+impl<'a> Iterator for Chunk<'a> {
+    type Item = (usize, &'a [u8]);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let &(lineno, end) = self.lines.next()?;
+        let line = &self.bytes[self.start..end - 1];
+        self.start = end;
+        Some((lineno, line))
+    }
+}
+
+/// Parse a directive's fields, `<key><n> crc=<hex>` (`key` is `lines=`
+/// for a chunk, `events=` for the footer); returns `(n, crc)`.
+pub(crate) fn parse_directive(rest: &str, key: &str) -> Option<(usize, u32)> {
+    let mut it = rest.split_ascii_whitespace();
+    let n = it.next()?.strip_prefix(key)?.parse().ok()?;
+    let crc = u32::from_str_radix(it.next()?.strip_prefix("crc=")?, 16).ok()?;
+    if it.next().is_some() {
+        return None;
+    }
+    Some((n, crc))
+}
+
+/// A parsed event line, before policy application.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct RawEvent {
+    pub(crate) time: u64,
+    pub(crate) kind: RawKind,
+}
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum RawKind {
+    Node(Origin),
+    Edge(u32, u32),
+}
+
+/// Parse one trimmed payload line as [`parse_event_line`] would, trying
+/// the canonical spelling first.
+pub(crate) fn parse_payload(line: &[u8], lineno: usize) -> Result<RawEvent, ParseError> {
+    if let Some(ev) = parse_canonical(line) {
+        return Ok(ev);
+    }
+    match std::str::from_utf8(line) {
+        Ok(text) => parse_event_line(text, lineno),
+        Err(_) => Err(ParseError::Malformed {
+            line: lineno,
+            reason: "line is not valid utf-8".to_string(),
+        }),
+    }
+}
+
+/// The exact spelling the writers emit — `N <secs> <origin>` or
+/// `E <secs> <u> <v>`, single spaces, plain digits — or `None`, leaving
+/// every other spelling and every error to [`parse_event_line`].
+fn parse_canonical(line: &[u8]) -> Option<RawEvent> {
+    let (&tag, rest) = line.split_first()?;
+    let (time, rest) = digits(rest.strip_prefix(b" ")?)?;
+    let rest = rest.strip_prefix(b" ")?;
+    let kind = match tag {
+        b'N' => RawKind::Node(origin_named(rest)?),
+        b'E' => {
+            let (u, rest) = digits(rest)?;
+            let (v, rest) = digits(rest.strip_prefix(b" ")?)?;
+            if !rest.is_empty() {
+                return None;
+            }
+            RawKind::Edge(u32::try_from(u).ok()?, u32::try_from(v).ok()?)
+        }
+        _ => return None,
+    };
+    Some(RawEvent { time, kind })
+}
+
+/// A run of 1 to 19 ASCII digits (always fits a `u64`) at the start of
+/// `s`, and the bytes after it.
+fn digits(s: &[u8]) -> Option<(u64, &[u8])> {
+    let mut value = 0u64;
+    let mut len = 0;
+    while let Some(&b) = s.get(len) {
+        if !b.is_ascii_digit() {
+            break;
+        }
+        if len == 19 {
+            return None;
+        }
+        value = value * 10 + u64::from(b - b'0');
+        len += 1;
+    }
+    (len > 0).then(|| (value, &s[len..]))
+}
+
+/// The origin whose [`Origin::label`] — the word the writers emit — is
+/// `tok`.
+fn origin_named(tok: &[u8]) -> Option<Origin> {
+    [Origin::Core, Origin::Competitor, Origin::PostMerge]
+        .into_iter()
+        .find(|o| o.label().as_bytes() == tok)
+}
+
+fn parse_origin(tok: &str, line: usize) -> Result<Origin, ParseError> {
+    origin_named(tok.as_bytes()).ok_or_else(|| ParseError::Malformed {
+        line,
+        reason: format!("unknown origin '{tok}'"),
+    })
+}
+
+/// Parse one payload line. This is the grammar of an event line and the
+/// wording of its errors; [`parse_payload`]'s fast path must agree with
+/// it exactly.
+pub(crate) fn parse_event_line(line: &str, lineno: usize) -> Result<RawEvent, ParseError> {
+    let mut parts = line.split_ascii_whitespace();
+    let tag = parts.next().unwrap_or_default();
+    let malformed = |reason: &str| ParseError::Malformed {
+        line: lineno,
+        reason: reason.to_string(),
+    };
+    let secs: u64 = parts
+        .next()
+        .ok_or_else(|| malformed("missing timestamp"))?
+        .parse()
+        .map_err(|_| malformed("bad timestamp"))?;
+    let kind = match tag {
+        "N" => {
+            let origin = parse_origin(
+                parts.next().ok_or_else(|| malformed("missing origin"))?,
+                lineno,
+            )?;
+            RawKind::Node(origin)
+        }
+        "E" => {
+            let u: u32 = parts
+                .next()
+                .ok_or_else(|| malformed("missing endpoint u"))?
+                .parse()
+                .map_err(|_| malformed("bad endpoint u"))?;
+            let v: u32 = parts
+                .next()
+                .ok_or_else(|| malformed("missing endpoint v"))?
+                .parse()
+                .map_err(|_| malformed("bad endpoint v"))?;
+            RawKind::Edge(u, v)
+        }
+        other => {
+            return Err(malformed(&format!("unknown record tag '{other}'")));
+        }
+    };
+    if parts.next().is_some() {
+        return Err(malformed("trailing tokens"));
+    }
+    Ok(RawEvent { time: secs, kind })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// What `parse_payload` must return for `line`: the general parser,
+    /// errors compared by their text.
+    fn oracle(line: &[u8], lineno: usize) -> Result<RawEvent, String> {
+        match std::str::from_utf8(line) {
+            Ok(text) => parse_event_line(text, lineno).map_err(|e| e.to_string()),
+            Err(_) => Err(format!("line {lineno}: line is not valid utf-8")),
+        }
+    }
+
+    fn fast_or_fallback(line: &[u8], lineno: usize) -> Result<RawEvent, String> {
+        parse_payload(line, lineno).map_err(|e| e.to_string())
+    }
+
+    /// Pieces of the random lines: the canonical tokens plus every
+    /// spelling the general parser treats differently from them.
+    const TOKENS: &[&[u8]] = &[
+        b"N",
+        b"E",
+        b"X",
+        b"n",
+        b"NE",
+        b" ",
+        b" ",
+        b" ",
+        b"  ",
+        b"\t",
+        b"\r",
+        b"\x0c",
+        b"\x0b",
+        b"+",
+        b"-",
+        b"0",
+        b"00",
+        b"007",
+        b"42",
+        b"86400",
+        b"4294967295",
+        b"4294967296",
+        b"1234567890123456789",
+        b"9999999999999999999",
+        b"12345678901234567890",
+        b"18446744073709551615",
+        b"18446744073709551616",
+        b"core",
+        b"competitor",
+        b"postmerge",
+        b"martian",
+        b"Core",
+        b"cor",
+        b"\xff",
+        b"\xc3\x28",
+        "\u{e9}".as_bytes(),
+    ];
+
+    proptest! {
+        /// Lines drawn from `TOKENS`: fast path plus fallback equals the
+        /// general parser, error strings included.
+        #[test]
+        fn random_lines_parse_like_the_general_parser(
+            toks in prop::collection::vec(0usize..TOKENS.len(), 0..9),
+            lineno in 1usize..10_000,
+        ) {
+            let line: Vec<u8> = toks.iter().flat_map(|&i| TOKENS[i].iter().copied()).collect();
+            prop_assert_eq!(fast_or_fallback(&line, lineno), oracle(&line, lineno));
+        }
+
+        /// Canonical lines take the fast path; one inserted, deleted or
+        /// replaced byte anywhere still parses exactly as the general
+        /// parser says.
+        #[test]
+        fn near_canonical_lines_parse_like_the_general_parser(
+            edge in any::<bool>(),
+            raw in any::<u64>(),
+            width in 0u32..20,
+            ends in (any::<u32>(), any::<u32>(), 0u32..10),
+            origin in 0usize..3,
+            edit in 0usize..4,
+            at in any::<usize>(),
+            tok in 0usize..TOKENS.len(),
+        ) {
+            // Timestamps of every width from 1 to 20 digits.
+            let time = if width == 19 { raw } else { raw % 10u64.pow(width + 1) };
+            let (u, v) = (ends.0 % 10u32.pow(ends.2), ends.1);
+            let mut line = if edge {
+                format!("E {time} {u} {v}").into_bytes()
+            } else {
+                let o = [Origin::Core, Origin::Competitor, Origin::PostMerge][origin];
+                format!("N {time} {}", o.label()).into_bytes()
+            };
+            // Timestamps of 20 digits are left to the general parser.
+            prop_assert_eq!(parse_canonical(&line).is_some(), time < 10_000_000_000_000_000_000);
+            let at = at % (line.len() + 1);
+            match edit {
+                0 => {}
+                1 => {
+                    line.splice(at..at, TOKENS[tok].iter().copied());
+                }
+                2 if at < line.len() => {
+                    line.remove(at);
+                }
+                _ if at < line.len() => line[at] = TOKENS[tok][0],
+                _ => {}
+            }
+            prop_assert_eq!(fast_or_fallback(&line, 3), oracle(&line, 3));
+        }
+    }
+
+    #[test]
+    fn digit_run_limits_match_the_general_parser() {
+        for line in [
+            "N 9999999999999999999 core",
+            "N 10000000000000000000 core",
+            "N 18446744073709551616 core",
+            "N 00000000000000000001 core",
+            "E 0 4294967295 4294967295",
+            "E 0 4294967296 1",
+            "E 0 1 99999999999",
+            "E 0 1 2 3",
+            "N +5 core",
+            "N 5 core ",
+        ] {
+            assert_eq!(
+                fast_or_fallback(line.as_bytes(), 9),
+                oracle(line.as_bytes(), 9),
+                "{line}"
+            );
+        }
+    }
+}

@@ -43,6 +43,10 @@
 //! comments parses a v2 file correctly (it just cannot verify it), and
 //! this module's reader accepts both versions transparently.
 //!
+//! This reader and [`crate::tail::TailReader`] split lines, classify
+//! directives, verify chunks and check the footer through one shared
+//! framing core; each keeps only its own policy and error wording.
+//!
 //! # Recovery
 //!
 //! [`read_log_with_policy`] ingests a stream under a [`RecoveryPolicy`]:
@@ -53,14 +57,15 @@
 //! recovery modes return an [`IngestReport`] describing exactly what was
 //! kept, skipped, and repaired.
 
-use crate::crc32::Crc32;
-use crate::event::Origin;
+use crate::crc32::{crc32, Crc32};
+use crate::event::{Event, EventKind, Origin};
+use crate::frame::{parse_payload, BadDirective, Frame, Framer, Lines, RawEvent, RawKind};
 use crate::log::{EventLog, EventLogBuilder, LogError};
 use crate::time::{NodeId, Time};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::fmt;
-use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{self, BufWriter, Read, Write};
 
 /// First line of a v2 trace file.
 pub const FORMAT_V2_MAGIC: &str = "#%osn-events v2";
@@ -362,22 +367,6 @@ impl IngestReport {
     }
 }
 
-fn origin_token(o: Origin) -> &'static str {
-    o.label()
-}
-
-fn parse_origin(tok: &str, line: usize) -> Result<Origin, ParseError> {
-    match tok {
-        "core" => Ok(Origin::Core),
-        "competitor" => Ok(Origin::Competitor),
-        "postmerge" => Ok(Origin::PostMerge),
-        other => Err(ParseError::Malformed {
-            line,
-            reason: format!("unknown origin '{other}'"),
-        }),
-    }
-}
-
 /// Write a log in the v1 plain-text format (no checksums).
 pub fn write_log<W: Write>(log: &EventLog, writer: W) -> io::Result<()> {
     let mut w = BufWriter::new(writer);
@@ -389,7 +378,7 @@ pub fn write_log<W: Write>(log: &EventLog, writer: W) -> io::Result<()> {
         log.end_day() + 1
     )?;
     for e in log.events() {
-        writeln!(w, "{}", format_event(e))?;
+        write_event(&mut w, e)?;
     }
     w.flush()
 }
@@ -416,24 +405,11 @@ pub fn write_log_v2_chunked<W: Write>(
         log.end_day() + 1
     )?;
     let mut total = Crc32::new();
-    let mut chunk = Crc32::new();
-    let mut in_chunk = 0usize;
-    for e in log.events() {
-        let line = format_event(e);
-        writeln!(w, "{line}")?;
-        chunk.update(line.as_bytes());
-        chunk.update(b"\n");
-        total.update(line.as_bytes());
-        total.update(b"\n");
-        in_chunk += 1;
-        if in_chunk == chunk_lines {
-            writeln!(w, "#%chunk lines={} crc={:08x}", in_chunk, chunk.finalize())?;
-            chunk = Crc32::new();
-            in_chunk = 0;
-        }
-    }
-    if in_chunk > 0 {
-        writeln!(w, "#%chunk lines={} crc={:08x}", in_chunk, chunk.finalize())?;
+    let mut buf = Vec::new();
+    for events in log.events().chunks(chunk_lines) {
+        buf.clear();
+        write_chunk(&mut buf, &mut total, events)?;
+        w.write_all(&buf)?;
     }
     writeln!(
         w,
@@ -444,15 +420,28 @@ pub fn write_log_v2_chunked<W: Write>(
     w.flush()
 }
 
-fn format_event(e: &crate::event::Event) -> String {
+/// Write one event line in the canonical spelling the readers' fast path
+/// parses.
+fn write_event<W: Write>(w: &mut W, e: &Event) -> io::Result<()> {
     match e.kind {
-        crate::event::EventKind::AddNode { origin, .. } => {
-            format!("N {} {}", e.time.seconds(), origin_token(origin))
+        EventKind::AddNode { origin, .. } => {
+            writeln!(w, "N {} {}", e.time.seconds(), origin.label())
         }
-        crate::event::EventKind::AddEdge { u, v } => {
-            format!("E {} {} {}", e.time.seconds(), u.0, v.0)
-        }
+        EventKind::AddEdge { u, v } => writeln!(w, "E {} {} {}", e.time.seconds(), u.0, v.0),
     }
+}
+
+/// Append `events` to `buf` as one v2 chunk (payload lines, then their
+/// `#%chunk` directive) and fold the payload into the footer CRC.
+fn write_chunk(buf: &mut Vec<u8>, total: &mut Crc32, events: &[Event]) -> io::Result<()> {
+    let start = buf.len();
+    for e in events {
+        write_event(buf, e)?;
+    }
+    let payload = &buf[start..];
+    total.update(payload);
+    let crc = crc32(payload);
+    writeln!(buf, "#%chunk lines={} crc={crc:08x}", events.len())
 }
 
 /// Atomically save a log at `path` in the v1 format (tmp + fsync + rename;
@@ -482,6 +471,8 @@ pub struct LogAppender<W: Write> {
     w: W,
     total: Crc32,
     events: u64,
+    /// The chunk being appended, reused across calls.
+    buf: Vec<u8>,
 }
 
 impl<W: Write> LogAppender<W> {
@@ -493,6 +484,7 @@ impl<W: Write> LogAppender<W> {
             w,
             total: Crc32::new(),
             events: 0,
+            buf: Vec::new(),
         })
     }
 
@@ -505,28 +497,14 @@ impl<W: Write> LogAppender<W> {
     /// Append `events` as one checksummed chunk. Empty input is a no-op.
     /// The caller is responsible for overall time-ordering across calls
     /// (readers validate it, exactly as they do for batch-written files).
-    pub fn append_chunk(&mut self, events: &[crate::event::Event]) -> io::Result<()> {
+    pub fn append_chunk(&mut self, events: &[Event]) -> io::Result<()> {
         if events.is_empty() {
             return Ok(());
         }
-        let mut chunk = Crc32::new();
-        let mut buf = String::new();
-        for e in events {
-            let line = format_event(e);
-            chunk.update(line.as_bytes());
-            chunk.update(b"\n");
-            self.total.update(line.as_bytes());
-            self.total.update(b"\n");
-            buf.push_str(&line);
-            buf.push('\n');
-        }
-        buf.push_str(&format!(
-            "#%chunk lines={} crc={:08x}\n",
-            events.len(),
-            chunk.finalize()
-        ));
+        self.buf.clear();
+        write_chunk(&mut self.buf, &mut self.total, events)?;
         self.events += events.len() as u64;
-        self.w.write_all(buf.as_bytes())?;
+        self.w.write_all(&self.buf)?;
         self.w.flush()
     }
 
@@ -581,171 +559,88 @@ fn read_log_with_policy_inner<R: Read>(
     reader: R,
     policy: &RecoveryPolicy,
 ) -> Result<(EventLog, IngestReport), ParseError> {
-    let mut lines = LineReader::new(reader);
+    let mut lines = Lines::new(reader);
     let mut ing = Ingestor::new(policy);
-    match lines.next_line()? {
-        None => {
-            ing.report.format_version = 1;
-            ing.finish()
-        }
-        Some(first) => {
-            if trim(&first) == FORMAT_V2_MAGIC.as_bytes() {
-                ing.report.format_version = 2;
-                ing.report.lines_read = 1;
-                ing.report.bytes_read = first.len() as u64;
-                read_v2(lines, ing)
-            } else {
-                ing.report.format_version = 1;
-                read_v1(lines, ing, first)
-            }
-        }
-    }
-}
-
-/// Trim ASCII whitespace (including the line terminator) from both ends.
-pub(crate) fn trim(bytes: &[u8]) -> &[u8] {
-    let start = bytes.iter().position(|b| !b.is_ascii_whitespace());
-    match start {
-        None => &[],
-        Some(s) => {
-            let end = bytes
-                .iter()
-                .rposition(|b| !b.is_ascii_whitespace())
-                .unwrap();
-            &bytes[s..=end]
-        }
+    let Some(first) = lines.next_line()? else {
+        ing.report.format_version = 1;
+        return ing.finish();
+    };
+    ing.report.lines_read = 1;
+    ing.report.bytes_read = first.len() as u64;
+    let t = first.trim_ascii();
+    if t == FORMAT_V2_MAGIC.as_bytes() {
+        ing.report.format_version = 2;
+        read_v2(lines, ing)
+    } else {
+        ing.report.format_version = 1;
+        ing.v1_line(1, t)?;
+        read_v1(lines, ing)
     }
 }
 
 fn read_v1<R: Read>(
-    mut lines: LineReader<R>,
+    mut lines: Lines<R>,
     mut ing: Ingestor<'_>,
-    first: Vec<u8>,
 ) -> Result<(EventLog, IngestReport), ParseError> {
     let mut lineno = 1;
-    ing.report.lines_read = 1;
-    let mut current = Some(first);
-    while let Some(raw) = current {
-        ing.report.bytes_read += raw.len() as u64;
-        let t = trim(&raw);
-        if !(t.is_empty() || t.first() == Some(&b'#')) {
-            ing.payload_line(lineno, t)?;
-        }
-        current = lines.next_line()?;
-        if current.is_some() {
-            lineno += 1;
-            ing.report.lines_read += 1;
-        }
-    }
-    ing.finish()
-}
-
-/// v2 framing state: buffer payload lines until their chunk's checksum
-/// verifies, then commit them to the ingest policy.
-fn read_v2<R: Read>(
-    mut lines: LineReader<R>,
-    mut ing: Ingestor<'_>,
-) -> Result<(EventLog, IngestReport), ParseError> {
-    let mut lineno = 1usize; // the magic line
-    let mut pending: Vec<(usize, Vec<u8>)> = Vec::new();
-    let mut chunk_crc = Crc32::new();
-    let mut total_crc = Crc32::new();
-    let mut payload_committed: u64 = 0;
-    let mut footer_seen = false;
     while let Some(raw) = lines.next_line()? {
         lineno += 1;
         ing.report.lines_read += 1;
         ing.report.bytes_read += raw.len() as u64;
-        let t = trim(&raw);
-        if t.is_empty() {
-            continue;
-        }
-        if t.starts_with(b"#%") {
-            let directive = match std::str::from_utf8(t) {
-                Ok(s) => s,
-                Err(_) => {
-                    ing.corrupt(lineno, "directive is not valid utf-8".to_string())?;
-                    continue;
-                }
-            };
-            if let Some(rest) = directive.strip_prefix("#%chunk ") {
-                match parse_chunk_directive(rest) {
-                    Some((n, crc)) => {
-                        // Only pay for the timestamp when telemetry is on.
-                        let verify_started = osn_obs::enabled().then(std::time::Instant::now);
-                        let got = chunk_crc.finalize();
-                        if n != pending.len() {
-                            let reason = format!(
-                                "chunk declares {} lines but {} were read",
-                                n,
-                                pending.len()
-                            );
-                            ing.drop_chunk(lineno, &mut pending, reason)?;
-                        } else if crc != got {
-                            let reason = format!(
-                                "chunk checksum mismatch: expected {crc:08x}, got {got:08x}"
-                            );
-                            ing.drop_chunk(lineno, &mut pending, reason)?;
-                        } else {
-                            ing.report.chunks_verified += 1;
-                            for (ln, bytes) in pending.drain(..) {
-                                total_crc.update(trim(&bytes));
-                                total_crc.update(b"\n");
-                                payload_committed += 1;
-                                ing.payload_line(ln, trim(&bytes))?;
-                            }
-                        }
-                        if let Some(t0) = verify_started {
-                            osn_obs::histogram!("ingest.chunk_verify_us")
-                                .record_duration(t0.elapsed());
-                        }
-                        chunk_crc = Crc32::new();
-                    }
-                    None => ing.corrupt(lineno, format!("bad chunk directive '{directive}'"))?,
-                }
-            } else if let Some(rest) = directive.strip_prefix("#%end ") {
-                match parse_end_directive(rest) {
-                    Some((n, crc)) => {
-                        if !pending.is_empty() {
-                            let reason = "unterminated chunk before footer".to_string();
-                            ing.drop_chunk(lineno, &mut pending, reason)?;
-                            chunk_crc = Crc32::new();
-                        }
-                        let got = total_crc.finalize();
-                        let ok = n as u64 == payload_committed && crc == got;
-                        if !ok && matches!(ing.policy, RecoveryPolicy::Strict) {
-                            return Err(ParseError::Corrupt {
-                                line: lineno,
-                                reason: format!(
-                                    "footer mismatch: declared {n} events crc {crc:08x}, \
-                                     committed {payload_committed} events crc {got:08x}"
-                                ),
-                            });
-                        }
-                        ing.report.footer_verified = ok;
-                        footer_seen = true;
-                    }
-                    None => ing.corrupt(lineno, format!("bad end directive '{directive}'"))?,
-                }
-            } else if directive == FORMAT_V2_MAGIC {
-                ing.corrupt(lineno, "repeated format magic".to_string())?;
-            } else {
-                ing.corrupt(lineno, format!("unknown directive '{directive}'"))?;
-            }
-            continue;
-        }
-        if t.first() == Some(&b'#') {
-            continue; // ordinary comment: not checksummed
-        }
-        if footer_seen {
-            ing.after_footer(lineno)?;
-            continue;
-        }
-        chunk_crc.update(t);
-        chunk_crc.update(b"\n");
-        pending.push((lineno, raw));
+        ing.v1_line(lineno, raw.trim_ascii())?;
     }
-    if !footer_seen {
+    ing.finish()
+}
+
+/// Apply the recovery policy to what the shared v2 [`Framer`] reports
+/// line by line; lines after the footer are this reader's own concern.
+fn read_v2<R: Read>(
+    mut lines: Lines<R>,
+    mut ing: Ingestor<'_>,
+) -> Result<(EventLog, IngestReport), ParseError> {
+    let mut framer = Framer::default();
+    let mut lineno = 1usize; // the magic line
+    while let Some(raw) = lines.next_line()? {
+        lineno += 1;
+        ing.report.lines_read += 1;
+        ing.report.bytes_read += raw.len() as u64;
+        match framer.feed(lineno, raw.trim_ascii()) {
+            Frame::Comment | Frame::Buffered => {}
+            Frame::AfterFooter => ing.after_footer(lineno)?,
+            Frame::Verified(chunk) => {
+                ing.report.chunks_verified += 1;
+                for (ln, line) in chunk {
+                    ing.payload_line(ln, line)?;
+                }
+            }
+            Frame::Dropped(reason) => ing.drop_chunk(lineno, reason)?,
+            Frame::Footer { dropped, verdict } => {
+                if let Some(reason) = dropped {
+                    ing.drop_chunk(lineno, reason)?;
+                }
+                match verdict {
+                    Err(reason) if matches!(ing.policy, RecoveryPolicy::Strict) => {
+                        return Err(ParseError::Corrupt {
+                            line: lineno,
+                            reason,
+                        });
+                    }
+                    verdict => ing.report.footer_verified = verdict.is_ok(),
+                }
+            }
+            Frame::Bad(bad) => {
+                let reason = match bad {
+                    BadDirective::NotUtf8 => "directive is not valid utf-8".to_string(),
+                    BadDirective::Chunk(d) => format!("bad chunk directive '{d}'"),
+                    BadDirective::End(d) => format!("bad end directive '{d}'"),
+                    BadDirective::Magic => "repeated format magic".to_string(),
+                    BadDirective::Unknown(d) => format!("unknown directive '{d}'"),
+                };
+                ing.corrupt(lineno, reason)?;
+            }
+        }
+    }
+    if !framer.footer_seen() {
         ing.report.truncated = true;
         if matches!(ing.policy, RecoveryPolicy::Strict) {
             return Err(ParseError::Corrupt {
@@ -753,124 +648,11 @@ fn read_v2<R: Read>(
                 reason: "stream truncated: missing #%end footer".to_string(),
             });
         }
-        for (ln, _) in pending.drain(..) {
+        for ln in framer.pending_lines() {
             ing.skip(ln, SkipReason::TruncatedTail)?;
         }
     }
     ing.finish()
-}
-
-/// Parse `lines=<n> crc=<hex>`; returns `(lines, crc)`.
-pub(crate) fn parse_chunk_directive(rest: &str) -> Option<(usize, u32)> {
-    let mut it = rest.split_ascii_whitespace();
-    let n = it.next()?.strip_prefix("lines=")?.parse().ok()?;
-    let crc = u32::from_str_radix(it.next()?.strip_prefix("crc=")?, 16).ok()?;
-    if it.next().is_some() {
-        return None;
-    }
-    Some((n, crc))
-}
-
-/// Parse `events=<n> crc=<hex>`; returns `(events, crc)`.
-pub(crate) fn parse_end_directive(rest: &str) -> Option<(usize, u32)> {
-    let mut it = rest.split_ascii_whitespace();
-    let n = it.next()?.strip_prefix("events=")?.parse().ok()?;
-    let crc = u32::from_str_radix(it.next()?.strip_prefix("crc=")?, 16).ok()?;
-    if it.next().is_some() {
-        return None;
-    }
-    Some((n, crc))
-}
-
-/// Buffered line reader that retries [`io::ErrorKind::Interrupted`] so a
-/// signal-interrupted `read(2)` never aborts an ingest mid-trace.
-struct LineReader<R> {
-    r: BufReader<R>,
-}
-
-impl<R: Read> LineReader<R> {
-    fn new(reader: R) -> Self {
-        LineReader {
-            r: BufReader::new(reader),
-        }
-    }
-
-    /// Next raw line (without splitting on anything but `\n`), or `None`
-    /// at end of stream.
-    fn next_line(&mut self) -> io::Result<Option<Vec<u8>>> {
-        let mut buf = Vec::new();
-        loop {
-            match self.r.read_until(b'\n', &mut buf) {
-                Ok(_) => break,
-                // Bytes already pulled stay in `buf`; keep reading.
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e),
-            }
-        }
-        if buf.is_empty() {
-            Ok(None)
-        } else {
-            Ok(Some(buf))
-        }
-    }
-}
-
-/// A parsed event line, before policy application.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct RawEvent {
-    pub(crate) time: u64,
-    pub(crate) kind: RawKind,
-}
-
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum RawKind {
-    Node(Origin),
-    Edge(u32, u32),
-}
-
-/// Parse one payload line. Mirrors the historical v1 parser exactly,
-/// including its error wording.
-pub(crate) fn parse_event_line(line: &str, lineno: usize) -> Result<RawEvent, ParseError> {
-    let mut parts = line.split_ascii_whitespace();
-    let tag = parts.next().unwrap_or_default();
-    let malformed = |reason: &str| ParseError::Malformed {
-        line: lineno,
-        reason: reason.to_string(),
-    };
-    let secs: u64 = parts
-        .next()
-        .ok_or_else(|| malformed("missing timestamp"))?
-        .parse()
-        .map_err(|_| malformed("bad timestamp"))?;
-    let kind = match tag {
-        "N" => {
-            let origin = parse_origin(
-                parts.next().ok_or_else(|| malformed("missing origin"))?,
-                lineno,
-            )?;
-            RawKind::Node(origin)
-        }
-        "E" => {
-            let u: u32 = parts
-                .next()
-                .ok_or_else(|| malformed("missing endpoint u"))?
-                .parse()
-                .map_err(|_| malformed("bad endpoint u"))?;
-            let v: u32 = parts
-                .next()
-                .ok_or_else(|| malformed("missing endpoint v"))?
-                .parse()
-                .map_err(|_| malformed("bad endpoint v"))?;
-            RawKind::Edge(u, v)
-        }
-        other => {
-            return Err(malformed(&format!("unknown record tag '{other}'")));
-        }
-    };
-    if parts.next().is_some() {
-        return Err(malformed("trailing tokens"));
-    }
-    Ok(RawEvent { time: secs, kind })
 }
 
 /// An event buffered in the Repair reorder heap. Ordered by `(time, seq)`
@@ -967,13 +749,9 @@ impl<'p> Ingestor<'p> {
         self.skip(line, SkipReason::CorruptChunk(reason))
     }
 
-    /// Drop a whole buffered chunk (checksum or line-count mismatch).
-    fn drop_chunk(
-        &mut self,
-        marker_line: usize,
-        pending: &mut Vec<(usize, Vec<u8>)>,
-        reason: String,
-    ) -> Result<(), ParseError> {
+    /// Account for a chunk the framer dropped (checksum or line-count
+    /// mismatch, or no directive before the footer): one problem.
+    fn drop_chunk(&mut self, marker_line: usize, reason: String) -> Result<(), ParseError> {
         if matches!(self.policy, RecoveryPolicy::Strict) {
             return Err(ParseError::Corrupt {
                 line: marker_line,
@@ -981,7 +759,6 @@ impl<'p> Ingestor<'p> {
             });
         }
         self.report.chunks_dropped += 1;
-        pending.clear();
         self.skip(marker_line, SkipReason::CorruptChunk(reason))
     }
 
@@ -995,19 +772,18 @@ impl<'p> Ingestor<'p> {
         self.skip(line, SkipReason::AfterFooter)
     }
 
+    /// A trimmed v1 line: comments and blanks are skipped, anything else
+    /// is a payload line.
+    fn v1_line(&mut self, lineno: usize, t: &[u8]) -> Result<(), ParseError> {
+        if t.is_empty() || t[0] == b'#' {
+            return Ok(());
+        }
+        self.payload_line(lineno, t)
+    }
+
     /// Ingest one committed payload line under the active policy.
     fn payload_line(&mut self, lineno: usize, bytes: &[u8]) -> Result<(), ParseError> {
-        let text = match std::str::from_utf8(bytes) {
-            Ok(t) => t,
-            Err(_) => {
-                let err = ParseError::Malformed {
-                    line: lineno,
-                    reason: "line is not valid utf-8".to_string(),
-                };
-                return self.parse_failure(lineno, err);
-            }
-        };
-        let raw = match parse_event_line(text, lineno) {
+        let raw = match parse_payload(bytes, lineno) {
             Ok(raw) => raw,
             Err(err) => return self.parse_failure(lineno, err),
         };
@@ -1348,6 +1124,22 @@ mod tests {
         let err = read_log(text.as_bytes()).unwrap_err();
         assert!(matches!(err, ParseError::Corrupt { .. }), "got {err}");
         assert!(err.to_string().contains("checksum"));
+    }
+
+    #[test]
+    fn v2_footer_event_count_is_checked() {
+        // The CRC still matches: only the declared count is wrong.
+        let log = sample();
+        let mut buf = Vec::new();
+        write_log_v2(&log, &mut buf).unwrap();
+        let text = String::from_utf8(buf)
+            .unwrap()
+            .replace("#%end events=5 ", "#%end events=6 ");
+        let err = read_log(text.as_bytes()).unwrap_err();
+        assert!(err.to_string().contains("footer mismatch"), "got {err}");
+        let (_, report) =
+            read_log_with_policy(text.as_bytes(), &RecoveryPolicy::Skip { max_errors: 0 }).unwrap();
+        assert!(!report.footer_verified && !report.is_clean());
     }
 
     #[test]

@@ -31,6 +31,7 @@ pub mod crc32;
 pub mod csr;
 pub mod dynamic;
 pub mod event;
+mod frame;
 pub mod gzip;
 pub mod io;
 pub mod log;

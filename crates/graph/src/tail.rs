@@ -2,19 +2,21 @@
 //! live ingest.
 //!
 //! [`TailReader`] follows an append-only v2 file while a writer is still
-//! appending to it. The crucial distinction it adds over
-//! [`crate::io::read_log_with_policy`] is at end-of-file: a chunk whose
-//! `#%chunk` directive has not arrived yet — or whose final line has no
-//! terminator — is **pending**, not truncated. The reader keeps its
-//! committed offset before the partial data, reports
+//! appending to it. It verifies framing through the same core as
+//! [`crate::io::read_log_with_policy`]; the crucial distinction it adds
+//! is at end-of-file: a chunk whose `#%chunk` directive has not arrived
+//! yet — or whose final line has no terminator — is **pending**, not
+//! truncated. The reader keeps its committed offset before the partial
+//! data, reports
 //! [`TailBatch::tail_pending`], and the next [`TailReader::poll`] simply
 //! rescans the unfinished region; a torn tail is never an error and
 //! never a quarantine. A chunk whose directive *is* present but whose
 //! CRC or line count mismatches is genuine mid-file corruption and is
 //! handled per the same [`RecoveryPolicy`] vocabulary as the batch
 //! reader: `Strict` surfaces an error, `Skip` drops the chunk against
-//! its error budget, `Repair` degrades to an unbounded `Skip` (repairs
-//! need whole-file context a tailer does not have).
+//! its error budget (one unit per chunk, as in the batch reader),
+//! `Repair` degrades to an unbounded `Skip` (repairs need whole-file
+//! context a tailer does not have).
 //!
 //! Commit semantics: the committed offset only ever advances past a
 //! *verified* framing boundary (the magic, a chunk directive, the
@@ -31,16 +33,14 @@
 //! invariant violations, mirroring the batch reader's split between
 //! framing and log validation.
 
-use crate::crc32::Crc32;
 use crate::event::Origin;
-use crate::io::{
-    parse_chunk_directive, parse_end_directive, parse_event_line, trim, RawEvent, RawKind,
-    RecoveryPolicy, FORMAT_V2_MAGIC,
-};
+use crate::frame::{parse_payload, Frame, Framer, Lines, RawEvent, RawKind};
+use crate::io::{RecoveryPolicy, FORMAT_V2_MAGIC};
 use std::fmt;
 use std::fs::File;
-use std::io::{self, BufRead, BufReader, Seek, SeekFrom};
+use std::io::{self, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
+use std::time::Instant;
 
 use crate::time::{NodeId, Time};
 
@@ -179,11 +179,9 @@ pub struct TailReader {
     committed_offset: u64,
     /// 1-based number of the last committed line.
     committed_lineno: usize,
-    /// Running CRC over every committed payload line (footer check).
-    total_crc: Crc32,
-    /// Payload lines committed (the footer's `events=` count, which
-    /// includes lines a skip policy later discarded as malformed).
-    payload_committed: u64,
+    /// The shared v2 framing state: the provisional chunk and the
+    /// footer's running count and CRC of committed payload lines.
+    framer: Framer,
     footer: Option<bool>,
     /// Cumulative problems (dropped chunks + skipped lines) for the
     /// `Skip` error budget.
@@ -199,8 +197,7 @@ impl TailReader {
             started: false,
             committed_offset: 0,
             committed_lineno: 0,
-            total_crc: Crc32::new(),
-            payload_committed: 0,
+            framer: Framer::default(),
             footer: None,
             problems: 0,
         }
@@ -221,10 +218,6 @@ impl TailReader {
         self.problems
     }
 
-    fn strict(&self) -> bool {
-        matches!(self.policy, RecoveryPolicy::Strict)
-    }
-
     /// Error budget for quarantining; `Repair` degrades to unbounded
     /// `Skip` (see module docs).
     fn budget(&self) -> usize {
@@ -235,23 +228,21 @@ impl TailReader {
         }
     }
 
-    /// Count `n` problems against the budget.
-    fn spend(&mut self, n: usize) -> Result<(), TailError> {
-        self.problems += n;
-        if self.problems > self.budget() {
-            return Err(TailError::TooManyErrors {
-                errors: self.problems,
-                limit: self.budget(),
-            });
-        }
-        Ok(())
-    }
-
     /// Read the file once from the committed offset, committing every
     /// verified framing boundary encountered. Returns what was committed
     /// plus whether an in-progress append (torn tail) remains at EOF.
     pub fn poll(&mut self) -> Result<TailBatch, TailError> {
         osn_obs::counter!("ingest.tail_polls").inc();
+        // Only pay for the timestamp when telemetry is on.
+        let started = osn_obs::enabled().then(Instant::now);
+        let result = self.poll_once();
+        if let Some(t0) = started {
+            osn_obs::histogram!("ingest.poll_us").record_duration(t0.elapsed());
+        }
+        result
+    }
+
+    fn poll_once(&mut self) -> Result<TailBatch, TailError> {
         let mut batch = TailBatch {
             committed_offset: self.committed_offset,
             footer: self.footer,
@@ -273,32 +264,30 @@ impl TailReader {
             });
         }
         file.seek(SeekFrom::Start(self.committed_offset))?;
-        let mut r = BufReader::new(file);
+        let mut lines = Lines::new(file);
 
+        // The shared v2 framer reports each line; what remains here are
+        // the commit-offset and torn-tail rules.
+        let strict = matches!(self.policy, RecoveryPolicy::Strict);
+        let budget = self.budget();
         // Scan state: everything since the last commit point is one
         // provisional region, thrown away (and re-read next poll) unless
         // a framing boundary commits it.
+        self.framer.discard_open();
         let mut scan_pos = self.committed_offset;
         let mut lineno = self.committed_lineno;
-        let mut region_payload: Vec<(usize, Vec<u8>)> = Vec::new();
         let mut region_junk: usize = 0;
-        let mut chunk_crc = Crc32::new();
         let mut partial_tail = false;
 
-        loop {
-            let raw = match next_line(&mut r)? {
-                None => break,
-                Some(raw) => raw,
-            };
+        while let Some(raw) = lines.next_line()? {
+            scan_pos += raw.len() as u64;
             if raw.last() != Some(&b'\n') {
                 // Unterminated final line: the writer is mid-append.
-                scan_pos += raw.len() as u64;
                 partial_tail = true;
                 break;
             }
-            scan_pos += raw.len() as u64;
             lineno += 1;
-            let t = trim(&raw).to_vec();
+            let t = raw.trim_ascii();
 
             if !self.started {
                 if t != FORMAT_V2_MAGIC.as_bytes() {
@@ -309,130 +298,92 @@ impl TailReader {
                 continue;
             }
 
-            if t.is_empty() || (t.first() == Some(&b'#') && !t.starts_with(b"#%")) {
-                // Blank or ordinary comment: not checksummed. Commit it
-                // only when nothing provisional precedes it.
-                if region_payload.is_empty() && region_junk == 0 {
-                    self.commit(scan_pos, lineno, &mut batch);
+            let footer = match self.framer.feed(lineno, t) {
+                Frame::Comment => {
+                    // Not checksummed: commit it only when nothing
+                    // provisional precedes it.
+                    if self.framer.pending() == 0 && region_junk == 0 {
+                        self.commit(scan_pos, lineno, &mut batch);
+                    }
+                    continue;
                 }
-                continue;
-            }
-
-            if t.starts_with(b"#%") {
-                let directive = std::str::from_utf8(&t).ok().map(str::to_string);
-                let parsed_chunk = directive
-                    .as_deref()
-                    .and_then(|d| d.strip_prefix("#%chunk "))
-                    .and_then(parse_chunk_directive);
-                let parsed_end = directive
-                    .as_deref()
-                    .and_then(|d| d.strip_prefix("#%end "))
-                    .and_then(parse_end_directive);
-
-                if let Some((n, crc)) = parsed_chunk {
-                    let verify_started = osn_obs::enabled().then(std::time::Instant::now);
-                    let got = chunk_crc.finalize();
-                    if n != region_payload.len() {
-                        let reason = format!(
-                            "chunk declares {} lines but {} were read",
-                            n,
-                            region_payload.len()
-                        );
-                        self.drop_chunk(lineno, &reason, &mut region_payload, &mut batch)?;
-                    } else if crc != got {
-                        let reason =
-                            format!("chunk checksum mismatch: expected {crc:08x}, got {got:08x}");
-                        self.drop_chunk(lineno, &reason, &mut region_payload, &mut batch)?;
+                // Payload is provisional until its chunk verifies. (The
+                // tail stops at the footer, so nothing comes after it.)
+                Frame::Buffered | Frame::AfterFooter => continue,
+                // Unknown, repeated-magic, or malformed directive: junk.
+                Frame::Bad(_) => {
+                    if strict {
+                        let shown = std::str::from_utf8(t).unwrap_or("<non-utf8>");
+                        return Err(TailError::Corrupt {
+                            line: lineno,
+                            reason: format!("bad directive '{shown}'"),
+                        });
+                    }
+                    if self.framer.pending() == 0 {
+                        batch.lines_skipped += 1;
+                        spend(&mut self.problems, budget, 1)?;
+                        self.commit(scan_pos, lineno, &mut batch);
                     } else {
-                        batch.chunks_verified += 1;
-                        osn_obs::counter!("ingest.chunks_verified").inc();
-                        for (ln, bytes) in region_payload.drain(..) {
-                            let line = trim(&bytes);
-                            self.total_crc.update(line);
-                            self.total_crc.update(b"\n");
-                            self.payload_committed += 1;
-                            match std::str::from_utf8(line)
-                                .map_err(|_| ())
-                                .and_then(|s| parse_event_line(s, ln).map_err(|_| ()))
-                            {
-                                Ok(ev) => batch.events.push(convert(ev)),
-                                Err(()) if self.strict() => {
-                                    return Err(TailError::Corrupt {
-                                        line: ln,
-                                        reason: "unparseable payload line in verified chunk"
-                                            .to_string(),
-                                    });
-                                }
-                                Err(()) => {
-                                    batch.lines_skipped += 1;
-                                    self.spend(1)?;
-                                }
+                        region_junk += 1;
+                    }
+                    continue;
+                }
+                Frame::Verified(chunk) => {
+                    batch.chunks_verified += 1;
+                    osn_obs::counter!("ingest.chunks_verified").inc();
+                    for (ln, line) in chunk {
+                        match parse_payload(line, ln) {
+                            Ok(ev) => batch.events.push(convert(ev)),
+                            Err(_) if strict => {
+                                return Err(TailError::Corrupt {
+                                    line: ln,
+                                    reason: "unparseable payload line in verified chunk"
+                                        .to_string(),
+                                });
+                            }
+                            Err(_) => {
+                                batch.lines_skipped += 1;
+                                spend(&mut self.problems, budget, 1)?;
                             }
                         }
                     }
-                    if let Some(t0) = verify_started {
-                        osn_obs::histogram!("ingest.chunk_verify_us").record_duration(t0.elapsed());
+                    None
+                }
+                Frame::Dropped(reason) => {
+                    self.drop_chunk(lineno, reason, &mut batch)?;
+                    None
+                }
+                Frame::Footer { dropped, verdict } => {
+                    if let Some(reason) = dropped {
+                        self.drop_chunk(lineno, reason, &mut batch)?;
                     }
-                    batch.lines_skipped += region_junk as u64;
-                    self.spend(std::mem::take(&mut region_junk))?;
-                    chunk_crc = Crc32::new();
-                    self.commit(scan_pos, lineno, &mut batch);
-                    continue;
-                }
-
-                if let Some((n, crc)) = parsed_end {
-                    if !region_payload.is_empty() {
-                        let reason = "unterminated chunk before footer".to_string();
-                        self.drop_chunk(lineno, &reason, &mut region_payload, &mut batch)?;
+                    match verdict {
+                        Err(reason) if strict => {
+                            return Err(TailError::Corrupt {
+                                line: lineno,
+                                reason,
+                            })
+                        }
+                        verdict => Some(verdict.is_ok()),
                     }
-                    let got = self.total_crc.finalize();
-                    let ok = n as u64 == self.payload_committed && crc == got;
-                    if !ok && self.strict() {
-                        return Err(TailError::Corrupt {
-                            line: lineno,
-                            reason: format!(
-                                "footer mismatch: declared {n} events crc {crc:08x}, \
-                                 committed {} events crc {got:08x}",
-                                self.payload_committed
-                            ),
-                        });
-                    }
-                    batch.lines_skipped += region_junk as u64;
-                    self.spend(std::mem::take(&mut region_junk))?;
-                    self.footer = Some(ok);
-                    batch.footer = Some(ok);
-                    self.commit(scan_pos, lineno, &mut batch);
-                    // Anything after the footer is out of band; stop here
-                    // for good (`finished()` short-circuits future polls).
-                    break;
                 }
-
-                // Unknown, repeated-magic, or malformed directive: junk.
-                if self.strict() {
-                    let shown = directive.unwrap_or_else(|| "<non-utf8>".to_string());
-                    return Err(TailError::Corrupt {
-                        line: lineno,
-                        reason: format!("bad directive '{shown}'"),
-                    });
-                }
-                if region_payload.is_empty() {
-                    batch.lines_skipped += 1;
-                    self.spend(1)?;
-                    self.commit(scan_pos, lineno, &mut batch);
-                } else {
-                    region_junk += 1;
-                }
-                continue;
+            };
+            // A chunk directive or the footer closes the provisional
+            // region: the junk directives inside it are charged now.
+            batch.lines_skipped += region_junk as u64;
+            spend(&mut self.problems, budget, std::mem::take(&mut region_junk))?;
+            self.commit(scan_pos, lineno, &mut batch);
+            if footer.is_some() {
+                // Anything after the footer is out of band; stop here
+                // for good (`finished()` short-circuits future polls).
+                self.footer = footer;
+                batch.footer = footer;
+                break;
             }
-
-            // Payload line: provisional until its chunk verifies.
-            chunk_crc.update(&t);
-            chunk_crc.update(b"\n");
-            region_payload.push((lineno, raw));
         }
 
         batch.tail_pending = self.footer.is_none()
-            && (partial_tail || !region_payload.is_empty() || region_junk > 0 || !self.started);
+            && (partial_tail || self.framer.pending() > 0 || region_junk > 0 || !self.started);
         batch.pending_bytes = scan_pos.saturating_sub(self.committed_offset);
         batch.committed_offset = self.committed_offset;
         if batch.tail_pending {
@@ -451,45 +402,38 @@ impl TailReader {
         batch.committed_offset = pos;
     }
 
+    /// Account for a chunk the framer dropped: fatal under `Strict`,
+    /// otherwise one unit of the error budget however many lines it held
+    /// — the same charge as the batch reader's.
     fn drop_chunk(
         &mut self,
         lineno: usize,
-        reason: &str,
-        pending: &mut Vec<(usize, Vec<u8>)>,
+        reason: String,
         batch: &mut TailBatch,
     ) -> Result<(), TailError> {
-        if self.strict() {
+        if matches!(self.policy, RecoveryPolicy::Strict) {
             return Err(TailError::Corrupt {
                 line: lineno,
-                reason: reason.to_string(),
+                reason,
             });
         }
-        let dropped = pending.len();
-        pending.clear();
         batch.chunks_dropped += 1;
         osn_obs::counter!("ingest.chunks_dropped").inc();
-        // One budget unit per dropped chunk plus its lines, matching the
-        // batch Ingestor's accounting of a quarantined chunk.
-        self.spend(dropped + 1)
+        let budget = self.budget();
+        spend(&mut self.problems, budget, 1)
     }
 }
 
-/// Next raw line including its terminator (absent only at EOF), retrying
-/// interrupted reads like the batch reader does.
-fn next_line<R: BufRead>(r: &mut R) -> io::Result<Option<Vec<u8>>> {
-    let mut buf = Vec::new();
-    loop {
-        match r.read_until(b'\n', &mut buf) {
-            Ok(_) => break,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        }
+/// Count `n` problems against the `Skip` budget.
+fn spend(problems: &mut usize, budget: usize, n: usize) -> Result<(), TailError> {
+    *problems += n;
+    if *problems > budget {
+        return Err(TailError::TooManyErrors {
+            errors: *problems,
+            limit: budget,
+        });
     }
-    if buf.is_empty() {
-        Ok(None)
-    } else {
-        Ok(Some(buf))
-    }
+    Ok(())
 }
 
 fn convert(raw: RawEvent) -> TailEvent {
@@ -509,6 +453,7 @@ fn convert(raw: RawEvent) -> TailEvent {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::crc32::Crc32;
     use crate::io::{read_log_with_policy, write_log_v2_chunked, LogAppender};
     use crate::log::{EventLog, EventLogBuilder};
     use crate::testutil::SlowAppendWriter;
@@ -679,6 +624,65 @@ mod tests {
             Err(TailError::TooManyErrors { .. }) => {}
             other => panic!("budget must trip, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn dropped_chunk_costs_one_budget_unit_like_the_batch_reader() {
+        // Six nodes in 3-line chunks; one line of the second chunk is
+        // altered, so that chunk fails its CRC and is dropped whole.
+        let dir = scratch("drop-charge");
+        let path = dir.join("trace.events");
+        let mut b = EventLogBuilder::new();
+        for i in 0..6 {
+            b.add_node(Time(10 * i), Origin::Core).unwrap();
+        }
+        let mut bytes = Vec::new();
+        write_log_v2_chunked(&b.build(), &mut bytes, 3).unwrap();
+        let text = String::from_utf8(bytes)
+            .unwrap()
+            .replace("N 40 core", "N 41 core");
+        append(&path, text.as_bytes());
+        let policy = RecoveryPolicy::Skip { max_errors: 2 };
+
+        let (log, report) = read_log_with_policy(text.as_bytes(), &policy).unwrap();
+        assert_eq!(log.events().len(), 3);
+        assert_eq!(report.chunks_dropped, 1);
+        assert_eq!(report.skipped.len(), 1, "the batch reader charges one");
+
+        let mut tail = TailReader::new(&path, policy);
+        let b = tail
+            .poll()
+            .expect("a dropped chunk must cost one unit, not one per line");
+        assert_eq!(b.events.len(), 3);
+        assert_eq!(b.chunks_dropped, 1);
+        assert_eq!(b.footer, Some(false));
+        assert_eq!(tail.problems(), 1);
+    }
+
+    #[test]
+    fn each_poll_is_timed_while_telemetry_is_on() {
+        let _gate = osn_obs::test_gate();
+        let dir = scratch("poll-us");
+        let path = dir.join("trace.events");
+        append(&path, format!("{FORMAT_V2_MAGIC}\n").as_bytes());
+        let mut tail = TailReader::new(&path, skip());
+        let hist = osn_obs::histogram("ingest.poll_us");
+
+        osn_obs::set_enabled(false);
+        let before = hist.snapshot().count;
+        tail.poll().unwrap();
+        assert_eq!(hist.snapshot().count, before, "no timing while off");
+
+        osn_obs::set_enabled(true);
+        let before = hist.snapshot().count;
+        for _ in 0..3 {
+            tail.poll().unwrap();
+        }
+        assert!(tail.poll().is_ok());
+        // Other tests in this binary may poll concurrently while the gate
+        // is open, so only a lower bound is exact.
+        assert!(hist.snapshot().count - before >= 4);
+        osn_obs::set_enabled(false);
     }
 
     #[test]

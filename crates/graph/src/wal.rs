@@ -38,9 +38,8 @@ use std::sync::{Condvar, Mutex};
 use crate::atomicfile::write_bytes_atomic;
 use crate::crc32::Crc32;
 use crate::event::Origin;
-use crate::io::{
-    parse_chunk_directive, parse_end_directive, parse_event_line, trim, RawKind, FORMAT_V2_MAGIC,
-};
+use crate::frame::{parse_directive, parse_event_line, RawKind};
+use crate::io::FORMAT_V2_MAGIC;
 
 /// Tuning knobs for a [`Wal`].
 #[derive(Debug, Clone)]
@@ -419,13 +418,13 @@ fn scan_stream(path: &Path, collect_payload: bool) -> Result<StreamScan, WalErro
         if let Some((line, reason)) = &failure {
             // After a failure we only look for later framed data, which
             // upgrades the failure from "torn tail" to "corrupt".
-            let t = trim(&raw);
+            let t = raw.trim_ascii();
             if t.starts_with(b"#%") {
                 return Err(corrupt(*line, reason.clone()));
             }
             continue;
         }
-        let t = match std::str::from_utf8(trim(&raw)) {
+        let t = match std::str::from_utf8(raw.trim_ascii()) {
             Ok(t) => t,
             Err(_) => {
                 failure = Some((lineno, "non-utf8 line".to_string()));
@@ -455,7 +454,7 @@ fn scan_stream(path: &Path, collect_payload: bool) -> Result<StreamScan, WalErro
             continue;
         }
         if let Some(rest) = t.strip_prefix("#%chunk ") {
-            match parse_chunk_directive(rest) {
+            match parse_directive(rest, "lines=") {
                 Some((lines, crc))
                     if lines == region_lines.len() && crc == region_crc.clone().finalize() =>
                 {
@@ -494,7 +493,7 @@ fn scan_stream(path: &Path, collect_payload: bool) -> Result<StreamScan, WalErro
                 failure = Some((lineno, "footer inside unterminated chunk".to_string()));
                 continue;
             }
-            match parse_end_directive(rest) {
+            match parse_directive(rest, "events=") {
                 Some((events, crc))
                     if events as u64 == scan.payload_lines
                         && crc == scan.total_crc.clone().finalize() =>
