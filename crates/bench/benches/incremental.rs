@@ -1,13 +1,13 @@
 //! Streaming vs snapshot metric computation: the ablation for the
-//! `IncrementalMetrics` design. The streaming pass computes a weekly
-//! transitivity series in one sweep; the snapshot approach re-counts
-//! triangles per snapshot.
+//! engine's incremental triangle and wedge counters. The streaming pass
+//! computes a weekly transitivity series in one sweep; the snapshot
+//! approach re-counts triangles per snapshot.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use osn_genstream::{TraceConfig, TraceGenerator};
-use osn_graph::{EventKind, EventLog, Replayer};
+use osn_graph::{EventLog, Replayer};
 use osn_metrics::clustering::transitivity;
-use osn_metrics::IncrementalMetrics;
+use osn_metrics::{EngineConfig, EngineState};
 
 fn small_log() -> EventLog {
     let mut cfg = TraceConfig::small();
@@ -19,22 +19,16 @@ fn bench_streaming_vs_snapshots(c: &mut Criterion) {
     let log = small_log();
     let mut group = c.benchmark_group("incremental/weekly_transitivity");
     group.sample_size(10);
+    let cfg = EngineConfig::builder().track_triangles(true).build();
     group.bench_function("streaming_one_pass", |b| {
         b.iter(|| {
-            let mut inc = IncrementalMetrics::with_capacity(log.num_nodes() as usize);
+            let mut state = EngineState::with_config(&log, &cfg);
             let mut out = Vec::new();
-            let mut next_day = 0u32;
-            for e in log.events() {
-                while e.time.day() >= next_day {
-                    out.push(inc.transitivity());
-                    next_day += 7;
-                }
-                match e.kind {
-                    EventKind::AddNode { .. } => {
-                        inc.add_node();
-                    }
-                    EventKind::AddEdge { u, v } => inc.add_edge(u.0, v.0),
-                }
+            let mut day = 0u32;
+            while day <= log.end_day() {
+                state.advance_through_day(day);
+                out.push(state.transitivity());
+                day += 7;
             }
             out
         })

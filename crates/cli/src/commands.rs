@@ -107,8 +107,9 @@ Admission control sheds writes with 429/503 + Retry-After when the
 per-token budget (--write-rate/--write-burst), the fsync queue
 (--max-sync-queue) or head lag (--max-write-lag) exceeds bounds, so
 reads stay alive under write floods. On clean shutdown the trace is
-sealed back to a strict-clean batch log; osn verify --wal DIR checks
-the retained segments.";
+sealed back to a strict-clean batch log; osn verify --wal DIR runs the
+checks the WAL's open runs on the retained segments (and on the trace,
+for a DIR named <trace>.wal beside it).";
 
 /// Hidden aliases from the output-flag unification: every command names
 /// its primary output `--out`, the telemetry snapshot `--telemetry`,
@@ -558,68 +559,87 @@ pub fn verify(args: &[String]) -> Result<(), CliError> {
     }
 }
 
-/// `osn verify --wal DIR` — check every retained WAL segment with the
-/// same chunk-framing verification the tail reader applies to traces.
-/// Batch markers are plain comments, so segments verify as ordinary v2
-/// streams. Only the *active* (last) segment may legitimately lack its
-/// footer or end in a torn append — a crash mid-write lands there by
-/// construction; anything unfinished earlier in the sequence is damage.
-/// Exit codes match trace verification: 0 clean, 3 corrupt.
+/// `osn verify --wal DIR` — judge every retained WAL segment with the
+/// segment check [`osn_graph::wal::Wal::open`] runs and, when DIR is
+/// `<trace>.wal` beside its trace (the default layout), the trace with
+/// open's trace checks too, so verify fails whenever open would refuse
+/// to start; with another layout it says the trace was not checked. Two
+/// more things fail here that open tolerates: a segment before the last
+/// without its footer, and a last segment whose tail failed verification
+/// (open truncates it as torn). An unfinished final append is only
+/// pending. Exit codes match trace verification: 0 clean, 3 corrupt.
 fn verify_wal(dir: &Path, json: bool) -> Result<(), CliError> {
-    let segments = osn_graph::wal::list_segments(dir)
-        .map_err(|e| CliError::io(format!("list WAL segments in {}", dir.display()), e))?;
-    let mut events = 0u64;
-    let mut chunks = 0u64;
-    let mut problems = 0usize;
-    let mut tail_pending = false;
-    for (i, (index, path)) in segments.iter().enumerate() {
-        let last = i + 1 == segments.len();
-        let mut reader = osn_graph::TailReader::new(path, RecoveryPolicy::Strict);
-        match reader.poll() {
-            Ok(batch) => {
-                events += batch.events.len() as u64;
-                chunks += batch.chunks_verified;
-                let mut verdict = "clean";
-                if batch.tail_pending || batch.footer.is_none() {
-                    if last {
-                        // The active segment is allowed to be unfinished.
-                        tail_pending = true;
-                        verdict = "active (tail pending)";
-                    } else {
-                        problems += 1;
-                        verdict = "UNFINISHED (not the active segment)";
-                    }
-                }
-                if !json {
-                    println!(
-                        "  seg-{index:06}: {} event(s), {} chunk(s), {verdict}",
-                        batch.events.len(),
-                        batch.chunks_verified
-                    );
-                }
-            }
-            Err(e) => {
-                problems += 1;
-                if !json {
-                    println!("  seg-{index:06}: CORRUPT ({e})");
-                } else {
-                    eprintln!("{}: {e}", path.display());
-                }
-            }
+    use osn_graph::wal::{check_segments, check_trace, SegmentState};
+    let trace = (dir.file_name())
+        .and_then(|name| name.to_str()?.strip_suffix(".wal"))
+        .map(|name| dir.with_file_name(name))
+        .filter(|trace| trace.is_file());
+    let (verdicts, trace_verdict) = match &trace {
+        Some(trace) => check_trace(trace, dir),
+        None => check_segments(dir).map(|v| (v, None)),
+    }
+    .map_err(|e| CliError::io(format!("check WAL in {}", dir.display()), e))?;
+    let (mut events, mut chunks, mut problems, mut tail_pending) = (0, 0, 0usize, false);
+    // One line per file; in JSON mode only the problems, on stderr.
+    let mut judge = |what: String, verdict: String, clean: bool| {
+        problems += usize::from(!clean);
+        if !json {
+            println!("  {what}: {verdict}");
+        } else if !clean {
+            eprintln!("{what}: {verdict}");
         }
+    };
+    for v in &verdicts {
+        events += v.events;
+        chunks += v.chunks;
+        let (verdict, clean) = match &v.state {
+            SegmentState::Sealed => ("clean".to_string(), true),
+            SegmentState::Active { damage: None, .. } => {
+                tail_pending = true;
+                ("active (tail pending)".to_string(), true)
+            }
+            SegmentState::Active {
+                damage: Some(why), ..
+            } => (format!("DAMAGED TAIL ({why})"), false),
+            SegmentState::Unfinished => ("UNFINISHED (not the active segment)".to_string(), false),
+            SegmentState::Corrupt(e) => (format!("CORRUPT ({e})"), false),
+        };
+        let counts = format!("{} event(s), {} chunk(s)", v.events, v.chunks);
+        judge(
+            format!("seg-{:06}", v.index),
+            format!("{counts}, {verdict}"),
+            clean,
+        );
+    }
+    let trace_checked = trace_verdict.is_some();
+    match (&trace, trace_verdict) {
+        (Some(trace), Some(verdict)) => {
+            let (verdict, clean) = match verdict {
+                Ok(()) => ("clean".to_string(), true),
+                Err(e) => (format!("CORRUPT ({e})"), false),
+            };
+            judge(format!("trace {}", trace.display()), verdict, clean);
+        }
+        _ if json => {}
+        (None, _) => println!("  trace: not checked (DIR is not <trace>.wal beside a trace)"),
+        _ if (verdicts.iter()).any(|v| matches!(v.state, SegmentState::Corrupt(_))) => {
+            println!("  trace: not checked (a segment is corrupt)")
+        }
+        _ => println!("  trace: not checked (the WAL rotated during every attempt; rerun)"),
     }
     if json {
         println!(
             "{{\"wal\":\"{}\",\"segments\":{},\"events\":{events},\"chunks\":{chunks},\
-             \"problems\":{problems},\"tail_pending\":{tail_pending}}}",
+             \"problems\":{problems},\"tail_pending\":{tail_pending},\
+             \"trace_checked\":{trace_checked}}}",
             dir.display(),
-            segments.len()
+            verdicts.len()
         );
     } else {
         println!(
             "{}: {} segment(s), {events} event(s), {chunks} chunk(s)",
             dir.display(),
-            segments.len()
+            verdicts.len()
         );
         if problems == 0 {
             println!("  verdict: clean");
@@ -956,45 +976,110 @@ mod tests {
         assert!(f.get_all("missing").is_empty());
     }
 
-    #[test]
-    fn verify_wal_checks_segments_and_flags_corruption() {
-        use osn_graph::wal::{Wal, WalEvent, WalOptions};
-        use osn_graph::Origin;
-        let dir = std::env::temp_dir().join(format!("osn_cli_walverify_{}", std::process::id()));
+    /// Build a WAL of six keyed batches (`k0` to `k5`) over several
+    /// segments in the default layout, sealed or not; damage it with
+    /// `damage(trace, segments)`; return the exit code of `verify --wal`
+    /// (the same with `--json`) and whether `Wal::open` then refuses it.
+    fn verify_damaged_wal(tag: &str, seal: bool, damage: impl FnOnce(&Path, &[Seg])) -> (u8, bool) {
+        use osn_graph::wal::{list_segments, wal_dir_for, Wal, WalEvent, WalOptions};
+        let dir = std::env::temp_dir().join(format!("osn_cli_wal_{tag}_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let trace = dir.join("t.events");
-        let wal_dir = dir.join("wal");
+        let wal_dir = wal_dir_for(&trace);
         let opts = WalOptions {
             fsync: false,
             rotate_bytes: 128,
             ..WalOptions::default()
         };
-        {
-            let (wal, _) = Wal::open(&trace, &wal_dir, opts).unwrap();
-            let mut evs = vec![WalEvent::node(0, Origin::Core)];
-            for i in 1..12 {
-                evs.push(WalEvent::node(i, Origin::Core));
-            }
-            for batch in evs.chunks(2) {
-                wal.append(None, batch).unwrap();
-            }
+        let (wal, _) = Wal::open(&trace, &wal_dir, opts.clone()).unwrap();
+        for i in 0..6 {
+            let node = |t| WalEvent::node(t, osn_graph::Origin::Core);
+            wal.append(Some(&format!("k{i}")), &[node(2 * i), node(2 * i + 1)])
+                .unwrap();
         }
+        if seal {
+            wal.seal().unwrap();
+        }
+        drop(wal);
+        let segments = list_segments(&wal_dir).unwrap();
+        assert!(segments.len() > 2, "rotation should have produced segments");
+        damage(&trace, &segments);
         let w = wal_dir.to_str().unwrap().to_string();
-        // Several rotated segments, all clean (active one tail-allowed).
-        verify(&["--wal".into(), w.clone()]).unwrap();
-        verify(&["--wal".into(), w.clone(), "--json".into()]).unwrap();
-        // Flip one payload byte in the first (sealed) segment.
-        let segments = osn_graph::wal::list_segments(&wal_dir).unwrap();
-        assert!(segments.len() > 1, "rotation should have produced segments");
-        let victim = &segments[0].1;
-        let mut bytes = std::fs::read(victim).unwrap();
-        let pos = bytes.iter().position(|&b| b == b'N').unwrap();
-        bytes[pos] = b'E';
-        std::fs::write(victim, &bytes).unwrap();
-        let err = verify(&["--wal".into(), w]).unwrap_err();
-        assert_eq!(err.exit_code(), 3, "{err}");
+        let exit = |json: &[&str]| {
+            let args: Vec<String> = ["--wal", &w]
+                .iter()
+                .chain(json)
+                .map(|a| a.to_string())
+                .collect();
+            verify(&args).map_or_else(|e| e.exit_code(), |()| 0)
+        };
+        let code = exit(&[]);
+        assert_eq!(exit(&["--json"]), code);
+        let refused = Wal::open(&trace, &wal_dir, opts).is_err();
         std::fs::remove_dir_all(&dir).ok();
+        (code, refused)
+    }
+
+    /// A WAL segment as `list_segments` lists it.
+    type Seg = (u64, PathBuf);
+
+    fn edit(path: &Path, f: impl FnOnce(String) -> String) {
+        let text = std::fs::read_to_string(path).unwrap();
+        std::fs::write(path, f(text)).unwrap();
+    }
+
+    #[test]
+    fn verify_wal_checks_segments_and_flags_corruption() {
+        // Rotated segments verify clean, the active one tail-allowed.
+        assert_eq!(verify_damaged_wal("clean", false, |_, _| {}), (0, false));
+        // One payload byte flipped in the first (sealed) segment.
+        let flip = |_: &Path, segs: &[Seg]| edit(&segs[0].1, |t| t.replacen("N ", "E ", 1));
+        assert_eq!(verify_damaged_wal("flip", false, flip), (3, true));
+    }
+
+    #[test]
+    fn verify_wal_rejects_a_chunk_whose_marker_fails_its_checksum() {
+        let marker =
+            |_: &Path, segs: &[Seg]| edit(&segs[0].1, |t| t.replacen("key=k0", "key=z", 1));
+        assert_eq!(verify_damaged_wal("badmark", false, marker), (3, true));
+    }
+
+    #[test]
+    fn verify_wal_rejects_a_comment_after_the_footer() {
+        let note =
+            |_: &Path, segs: &[Seg]| edit(&segs.last().unwrap().1, |t| t + "# trailing note\n");
+        assert_eq!(verify_damaged_wal("afterfooter", true, note), (3, true));
+    }
+
+    #[test]
+    fn verify_wal_rejects_a_final_chunk_with_a_wrong_crc() {
+        let crc = |_: &Path, segs: &[Seg]| {
+            edit(&segs.last().unwrap().1, |t| {
+                let at = t.rfind("crc=").unwrap() + 4;
+                let digit = if &t[at..=at] == "0" { "1" } else { "0" };
+                format!("{}{digit}{}", &t[..at], &t[at + 1..])
+            })
+        };
+        // Open truncates this tail as torn; verify reports the damage.
+        assert_eq!(verify_damaged_wal("badcrc", false, crc).0, 3);
+    }
+
+    #[test]
+    fn verify_wal_checks_the_trace_beside_it() {
+        // The trace lost bytes the checkpoint records as applied.
+        let cut = |trace: &Path, _: &[Seg]| edit(trace, |t| t[..20].to_string());
+        assert_eq!(verify_damaged_wal("trace", true, cut), (3, true));
+    }
+
+    #[test]
+    fn verify_wal_accepts_an_unfinished_final_append() {
+        let torn = |_: &Path, segs: &[Seg]| {
+            edit(&segs.last().unwrap().1, |t| {
+                t + "# batch seq=7 key=c events=1\nN 20"
+            })
+        };
+        assert_eq!(verify_damaged_wal("pending", false, torn), (0, false));
     }
 
     #[test]

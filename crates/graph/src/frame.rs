@@ -1,8 +1,7 @@
-//! v2 framing, shared by the batch reader
-//! ([`crate::io::read_log_with_policy`]) and the tailer
-//! ([`crate::tail::TailReader`]).
-//!
-//! Both readers drive the same four parts and keep only their policies:
+//! v2 framing: every spelling of the format, in one place. The batch
+//! reader ([`crate::io::read_log_with_policy`]), the tailer
+//! ([`crate::tail::TailReader`]) and the write-ahead log's scan
+//! ([`crate::wal`]) drive the same parts and keep only their policies:
 //!
 //! * [`Lines`] splits a byte stream into lines over one reused 64 KiB
 //!   block, with no allocation per line.
@@ -10,10 +9,16 @@
 //!   payload lines back to back — exactly the bytes its CRC covers — so
 //!   the line count, the chunk CRC and the footer are verified here and
 //!   nowhere else.
-//! * [`parse_payload`] parses a committed payload line, with a fast path
-//!   for the exact spelling the writers emit; [`parse_event_line`] stays
-//!   the one definition of the grammar and its error messages.
+//! * [`parse_payload`] parses a committed payload line into a
+//!   [`WalEvent`], with a fast path for the exact spelling the writers
+//!   emit; [`parse_event_line`] stays the one definition of the grammar
+//!   and its error messages.
 //! * The CRC itself is [`crate::crc32::Crc32`].
+//!
+//! Every writer appends through the encoder ([`encode_magic`],
+//! [`encode_chunk`], [`encode_directive`], [`encode_footer`]) and keeps
+//! the footer's running count and CRC in a [`Totals`], the type the
+//! [`Framer`] checks footers against.
 //!
 //! A dropped chunk (count or CRC mismatch, or no directive before the
 //! footer) is one problem however many lines it held: both readers
@@ -21,8 +26,12 @@
 
 use crate::crc32::{crc32, Crc32};
 use crate::event::Origin;
-use crate::io::{ParseError, FORMAT_V2_MAGIC};
-use std::io::{self, Read};
+use crate::io::ParseError;
+use std::io::{self, Read, Write};
+use std::ops::Range;
+
+/// First line of a v2 trace file.
+pub const FORMAT_V2_MAGIC: &str = "#%osn-events v2";
 
 /// Size of the [`Lines`] block buffer. A longer line grows the buffer.
 const BLOCK: usize = 64 * 1024;
@@ -145,11 +154,9 @@ pub(crate) struct Framer {
     /// The last verified chunk, handed out as a [`Chunk`].
     done: Vec<u8>,
     done_lines: Vec<(usize, usize)>,
-    /// CRC over every committed payload line (the footer's `crc=`).
-    total: Crc32,
-    /// Payload lines committed (the footer's `events=`, which includes
+    /// Every committed payload line (the footer's `events=` includes
     /// lines a policy later discards as malformed).
-    committed: u64,
+    totals: Totals,
     footer_seen: bool,
 }
 
@@ -173,6 +180,11 @@ impl Framer {
     /// Whether a well-formed footer has been fed.
     pub(crate) fn footer_seen(&self) -> bool {
         self.footer_seen
+    }
+
+    /// The footer's running totals over the verified chunks so far.
+    pub(crate) fn totals(&self) -> &Totals {
+        &self.totals
     }
 
     /// Feed line `lineno`, already trimmed.
@@ -233,8 +245,7 @@ impl Framer {
         }
         match verdict {
             Ok(()) => {
-                self.total.update(&self.open);
-                self.committed += read as u64;
+                self.totals.add(&self.open, read);
                 std::mem::swap(&mut self.open, &mut self.done);
                 std::mem::swap(&mut self.open_lines, &mut self.done_lines);
                 self.discard_open();
@@ -256,14 +267,14 @@ impl Framer {
             self.discard_open();
             "unterminated chunk before footer".to_string()
         });
-        let got = self.total.finalize();
-        let verdict = if events as u64 == self.committed && crc == got {
+        let got = self.totals.crc.finalize();
+        let verdict = if events as u64 == self.totals.lines && crc == got {
             Ok(())
         } else {
             Err(format!(
                 "footer mismatch: declared {events} events crc {crc:08x}, \
                  committed {} events crc {got:08x}",
-                self.committed
+                self.totals.lines
             ))
         };
         self.footer_seen = true;
@@ -278,6 +289,14 @@ pub(crate) struct Chunk<'a> {
     start: usize,
 }
 
+impl<'a> Chunk<'a> {
+    /// The chunk's payload as its CRC covers it: every line, each
+    /// followed by `\n`.
+    pub(crate) fn payload(&self) -> &'a [u8] {
+        self.bytes
+    }
+}
+
 impl<'a> Iterator for Chunk<'a> {
     type Item = (usize, &'a [u8]);
 
@@ -289,9 +308,80 @@ impl<'a> Iterator for Chunk<'a> {
     }
 }
 
+/// The footer's running totals: how many payload lines are committed and
+/// the CRC over them. The [`Framer`] checks a footer against its totals;
+/// the writers keep one per stream to write theirs.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Totals {
+    lines: u64,
+    crc: Crc32,
+}
+
+impl Totals {
+    /// Fold in one chunk's payload: `lines` lines, each followed by `\n`.
+    pub(crate) fn add(&mut self, payload: &[u8], lines: usize) {
+        self.crc.update(payload);
+        self.lines += lines as u64;
+    }
+
+    /// Payload lines committed so far.
+    pub(crate) fn lines(&self) -> u64 {
+        self.lines
+    }
+}
+
+/// Append the format magic line.
+pub(crate) fn encode_magic(buf: &mut Vec<u8>) {
+    buf.extend_from_slice(FORMAT_V2_MAGIC.as_bytes());
+    buf.push(b'\n');
+}
+
+/// Append `events` as one chunk — their payload lines, in the spelling
+/// [`parse_payload`]'s fast path reads, then the chunk directive — and
+/// fold the payload into `totals`. Returns where the payload lies in
+/// `buf`.
+pub(crate) fn encode_chunk(
+    buf: &mut Vec<u8>,
+    events: impl IntoIterator<Item = WalEvent>,
+    totals: &mut Totals,
+) -> io::Result<Range<usize>> {
+    let start = buf.len();
+    let mut lines = 0;
+    for ev in events {
+        match ev.kind {
+            WalEventKind::Node(origin) => writeln!(buf, "N {} {}", ev.time, origin.label())?,
+            WalEventKind::Edge(u, v) => writeln!(buf, "E {} {u} {v}", ev.time)?,
+        }
+        lines += 1;
+    }
+    let payload = start..buf.len();
+    encode_directive(buf, start, lines, totals)?;
+    Ok(payload)
+}
+
+/// Close the chunk whose `lines` payload lines are `buf[start..]`: append
+/// its directive and fold the payload into `totals`.
+pub(crate) fn encode_directive(
+    buf: &mut Vec<u8>,
+    start: usize,
+    lines: usize,
+    totals: &mut Totals,
+) -> io::Result<()> {
+    let payload = &buf[start..];
+    totals.add(payload, lines);
+    let crc = crc32(payload);
+    writeln!(buf, "#%chunk lines={lines} crc={crc:08x}")
+}
+
+/// Append the `#%end` footer that `totals` verify.
+pub(crate) fn encode_footer(buf: &mut Vec<u8>, totals: &Totals) -> io::Result<()> {
+    let crc = totals.crc.finalize();
+    writeln!(buf, "#%end events={} crc={crc:08x}", totals.lines)
+}
+
 /// Parse a directive's fields, `<key><n> crc=<hex>` (`key` is `lines=`
 /// for a chunk, `events=` for the footer); returns `(n, crc)`.
-pub(crate) fn parse_directive(rest: &str, key: &str) -> Option<(usize, u32)> {
+fn parse_directive(rest: &str, key: &str) -> Option<(usize, u32)> {
     let mut it = rest.split_ascii_whitespace();
     let n = it.next()?.strip_prefix(key)?.parse().ok()?;
     let crc = u32::from_str_radix(it.next()?.strip_prefix("crc=")?, 16).ok()?;
@@ -301,22 +391,46 @@ pub(crate) fn parse_directive(rest: &str, key: &str) -> Option<(usize, u32)> {
     Some((n, crc))
 }
 
-/// A parsed event line, before policy application.
+/// One event line: what the parsers return and what the encoder and the
+/// write plane take. Node ids are implicit (dense, in arrival order), as
+/// `N` lines carry only a timestamp and origin.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct RawEvent {
-    pub(crate) time: u64,
-    pub(crate) kind: RawKind,
+pub struct WalEvent {
+    pub time: u64,
+    pub kind: WalEventKind,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum RawKind {
+pub enum WalEventKind {
     Node(Origin),
     Edge(u32, u32),
 }
 
+impl WalEvent {
+    pub fn node(time: u64, origin: Origin) -> Self {
+        WalEvent {
+            time,
+            kind: WalEventKind::Node(origin),
+        }
+    }
+
+    pub fn edge(time: u64, u: u32, v: u32) -> Self {
+        WalEvent {
+            time,
+            kind: WalEventKind::Edge(u, v),
+        }
+    }
+
+    /// Parse one `N`/`E` payload line (the same grammar, and the same
+    /// parser, the trace readers use).
+    pub fn parse_line(line: &str) -> Result<WalEvent, String> {
+        parse_payload(line.as_bytes(), 1).map_err(|e| e.to_string())
+    }
+}
+
 /// Parse one trimmed payload line as [`parse_event_line`] would, trying
 /// the canonical spelling first.
-pub(crate) fn parse_payload(line: &[u8], lineno: usize) -> Result<RawEvent, ParseError> {
+pub(crate) fn parse_payload(line: &[u8], lineno: usize) -> Result<WalEvent, ParseError> {
     if let Some(ev) = parse_canonical(line) {
         return Ok(ev);
     }
@@ -332,23 +446,23 @@ pub(crate) fn parse_payload(line: &[u8], lineno: usize) -> Result<RawEvent, Pars
 /// The exact spelling the writers emit — `N <secs> <origin>` or
 /// `E <secs> <u> <v>`, single spaces, plain digits — or `None`, leaving
 /// every other spelling and every error to [`parse_event_line`].
-fn parse_canonical(line: &[u8]) -> Option<RawEvent> {
+fn parse_canonical(line: &[u8]) -> Option<WalEvent> {
     let (&tag, rest) = line.split_first()?;
     let (time, rest) = digits(rest.strip_prefix(b" ")?)?;
     let rest = rest.strip_prefix(b" ")?;
     let kind = match tag {
-        b'N' => RawKind::Node(origin_named(rest)?),
+        b'N' => WalEventKind::Node(origin_named(rest)?),
         b'E' => {
             let (u, rest) = digits(rest)?;
             let (v, rest) = digits(rest.strip_prefix(b" ")?)?;
             if !rest.is_empty() {
                 return None;
             }
-            RawKind::Edge(u32::try_from(u).ok()?, u32::try_from(v).ok()?)
+            WalEventKind::Edge(u32::try_from(u).ok()?, u32::try_from(v).ok()?)
         }
         _ => return None,
     };
-    Some(RawEvent { time, kind })
+    Some(WalEvent { time, kind })
 }
 
 /// A run of 1 to 19 ASCII digits (always fits a `u64`) at the start of
@@ -387,7 +501,7 @@ fn parse_origin(tok: &str, line: usize) -> Result<Origin, ParseError> {
 /// Parse one payload line. This is the grammar of an event line and the
 /// wording of its errors; [`parse_payload`]'s fast path must agree with
 /// it exactly.
-pub(crate) fn parse_event_line(line: &str, lineno: usize) -> Result<RawEvent, ParseError> {
+pub(crate) fn parse_event_line(line: &str, lineno: usize) -> Result<WalEvent, ParseError> {
     let mut parts = line.split_ascii_whitespace();
     let tag = parts.next().unwrap_or_default();
     let malformed = |reason: &str| ParseError::Malformed {
@@ -405,7 +519,7 @@ pub(crate) fn parse_event_line(line: &str, lineno: usize) -> Result<RawEvent, Pa
                 parts.next().ok_or_else(|| malformed("missing origin"))?,
                 lineno,
             )?;
-            RawKind::Node(origin)
+            WalEventKind::Node(origin)
         }
         "E" => {
             let u: u32 = parts
@@ -418,7 +532,7 @@ pub(crate) fn parse_event_line(line: &str, lineno: usize) -> Result<RawEvent, Pa
                 .ok_or_else(|| malformed("missing endpoint v"))?
                 .parse()
                 .map_err(|_| malformed("bad endpoint v"))?;
-            RawKind::Edge(u, v)
+            WalEventKind::Edge(u, v)
         }
         other => {
             return Err(malformed(&format!("unknown record tag '{other}'")));
@@ -427,7 +541,7 @@ pub(crate) fn parse_event_line(line: &str, lineno: usize) -> Result<RawEvent, Pa
     if parts.next().is_some() {
         return Err(malformed("trailing tokens"));
     }
-    Ok(RawEvent { time: secs, kind })
+    Ok(WalEvent { time: secs, kind })
 }
 
 #[cfg(test)]
@@ -437,14 +551,14 @@ mod tests {
 
     /// What `parse_payload` must return for `line`: the general parser,
     /// errors compared by their text.
-    fn oracle(line: &[u8], lineno: usize) -> Result<RawEvent, String> {
+    fn oracle(line: &[u8], lineno: usize) -> Result<WalEvent, String> {
         match std::str::from_utf8(line) {
             Ok(text) => parse_event_line(text, lineno).map_err(|e| e.to_string()),
             Err(_) => Err(format!("line {lineno}: line is not valid utf-8")),
         }
     }
 
-    fn fast_or_fallback(line: &[u8], lineno: usize) -> Result<RawEvent, String> {
+    fn fast_or_fallback(line: &[u8], lineno: usize) -> Result<WalEvent, String> {
         parse_payload(line, lineno).map_err(|e| e.to_string())
     }
 

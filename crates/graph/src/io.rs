@@ -43,9 +43,11 @@
 //! comments parses a v2 file correctly (it just cannot verify it), and
 //! this module's reader accepts both versions transparently.
 //!
-//! This reader and [`crate::tail::TailReader`] split lines, classify
-//! directives, verify chunks and check the footer through one shared
-//! framing core; each keeps only its own policy and error wording.
+//! This reader, [`crate::tail::TailReader`] and the write-ahead log's
+//! open-time scan split lines, classify directives, verify chunks and
+//! check the footer through one shared framing core; each keeps only its
+//! own policy and error wording. The writers here and in
+//! [`crate::wal`] write every line through the same core's encoder.
 //!
 //! # Recovery
 //!
@@ -57,9 +59,11 @@
 //! recovery modes return an [`IngestReport`] describing exactly what was
 //! kept, skipped, and repaired.
 
-use crate::crc32::{crc32, Crc32};
 use crate::event::{Event, EventKind, Origin};
-use crate::frame::{parse_payload, BadDirective, Frame, Framer, Lines, RawEvent, RawKind};
+use crate::frame::{
+    encode_chunk, encode_footer, encode_magic, parse_payload, BadDirective, Frame, Framer, Lines,
+    Totals, WalEvent, WalEventKind,
+};
 use crate::log::{EventLog, EventLogBuilder, LogError};
 use crate::time::{NodeId, Time};
 use std::cmp::Ordering;
@@ -67,8 +71,7 @@ use std::collections::BinaryHeap;
 use std::fmt;
 use std::io::{self, BufWriter, Read, Write};
 
-/// First line of a v2 trace file.
-pub const FORMAT_V2_MAGIC: &str = "#%osn-events v2";
+pub use crate::frame::FORMAT_V2_MAGIC;
 
 /// Default number of event lines per v2 chunk.
 pub const DEFAULT_CHUNK_LINES: usize = 1024;
@@ -367,22 +370,6 @@ impl IngestReport {
     }
 }
 
-/// Write a log in the v1 plain-text format (no checksums).
-pub fn write_log<W: Write>(log: &EventLog, writer: W) -> io::Result<()> {
-    let mut w = BufWriter::new(writer);
-    writeln!(
-        w,
-        "# multiscale-osn event log: {} nodes, {} edges, {} days",
-        log.num_nodes(),
-        log.num_edges(),
-        log.end_day() + 1
-    )?;
-    for e in log.events() {
-        write_event(&mut w, e)?;
-    }
-    w.flush()
-}
-
 /// Write a log in the checksummed v2 format with the default chunk size.
 pub fn write_log_v2<W: Write>(log: &EventLog, writer: W) -> io::Result<()> {
     write_log_v2_chunked(log, writer, DEFAULT_CHUNK_LINES)
@@ -396,58 +383,34 @@ pub fn write_log_v2_chunked<W: Write>(
 ) -> io::Result<()> {
     let chunk_lines = chunk_lines.max(1);
     let mut w = BufWriter::new(writer);
-    writeln!(w, "{FORMAT_V2_MAGIC}")?;
+    let mut buf = Vec::new();
+    encode_magic(&mut buf);
     writeln!(
-        w,
+        buf,
         "# multiscale-osn event log: {} nodes, {} edges, {} days",
         log.num_nodes(),
         log.num_edges(),
         log.end_day() + 1
     )?;
-    let mut total = Crc32::new();
-    let mut buf = Vec::new();
+    w.write_all(&buf)?;
+    let mut totals = Totals::default();
     for events in log.events().chunks(chunk_lines) {
         buf.clear();
-        write_chunk(&mut buf, &mut total, events)?;
+        encode_chunk(&mut buf, events.iter().map(line_of), &mut totals)?;
         w.write_all(&buf)?;
     }
-    writeln!(
-        w,
-        "#%end events={} crc={:08x}",
-        log.events().len(),
-        total.finalize()
-    )?;
+    buf.clear();
+    encode_footer(&mut buf, &totals)?;
+    w.write_all(&buf)?;
     w.flush()
 }
 
-/// Write one event line in the canonical spelling the readers' fast path
-/// parses.
-fn write_event<W: Write>(w: &mut W, e: &Event) -> io::Result<()> {
+/// The payload line `e` is written as.
+fn line_of(e: &Event) -> WalEvent {
     match e.kind {
-        EventKind::AddNode { origin, .. } => {
-            writeln!(w, "N {} {}", e.time.seconds(), origin.label())
-        }
-        EventKind::AddEdge { u, v } => writeln!(w, "E {} {} {}", e.time.seconds(), u.0, v.0),
+        EventKind::AddNode { origin, .. } => WalEvent::node(e.time.seconds(), origin),
+        EventKind::AddEdge { u, v } => WalEvent::edge(e.time.seconds(), u.0, v.0),
     }
-}
-
-/// Append `events` to `buf` as one v2 chunk (payload lines, then their
-/// `#%chunk` directive) and fold the payload into the footer CRC.
-fn write_chunk(buf: &mut Vec<u8>, total: &mut Crc32, events: &[Event]) -> io::Result<()> {
-    let start = buf.len();
-    for e in events {
-        write_event(buf, e)?;
-    }
-    let payload = &buf[start..];
-    total.update(payload);
-    let crc = crc32(payload);
-    writeln!(buf, "#%chunk lines={} crc={crc:08x}", events.len())
-}
-
-/// Atomically save a log at `path` in the v1 format (tmp + fsync + rename;
-/// missing parent directories are created).
-pub fn save_log<P: AsRef<std::path::Path>>(log: &EventLog, path: P) -> io::Result<()> {
-    crate::atomicfile::write_atomic(path.as_ref(), |w| write_log(log, w))
 }
 
 /// Atomically save a log at `path` in the checksummed v2 format.
@@ -469,8 +432,7 @@ pub fn save_log_v2<P: AsRef<std::path::Path>>(log: &EventLog, path: P) -> io::Re
 #[derive(Debug)]
 pub struct LogAppender<W: Write> {
     w: W,
-    total: Crc32,
-    events: u64,
+    totals: Totals,
     /// The chunk being appended, reused across calls.
     buf: Vec<u8>,
 }
@@ -478,13 +440,14 @@ pub struct LogAppender<W: Write> {
 impl<W: Write> LogAppender<W> {
     /// Start a new v2 stream: writes the format magic and flushes.
     pub fn new(mut w: W) -> io::Result<Self> {
-        w.write_all(format!("{FORMAT_V2_MAGIC}\n").as_bytes())?;
+        let mut buf = Vec::new();
+        encode_magic(&mut buf);
+        w.write_all(&buf)?;
         w.flush()?;
         Ok(LogAppender {
             w,
-            total: Crc32::new(),
-            events: 0,
-            buf: Vec::new(),
+            totals: Totals::default(),
+            buf,
         })
     }
 
@@ -502,29 +465,23 @@ impl<W: Write> LogAppender<W> {
             return Ok(());
         }
         self.buf.clear();
-        write_chunk(&mut self.buf, &mut self.total, events)?;
-        self.events += events.len() as u64;
+        encode_chunk(&mut self.buf, events.iter().map(line_of), &mut self.totals)?;
         self.w.write_all(&self.buf)?;
         self.w.flush()
     }
 
     /// Events appended so far.
     pub fn events_written(&self) -> u64 {
-        self.events
+        self.totals.lines()
     }
 
     /// Terminate the stream with the `#%end` footer and return the inner
     /// writer. A stream left unfinished reads back as truncated (tail
     /// pending), which is exactly what a live reader expects mid-write.
     pub fn finish(mut self) -> io::Result<W> {
-        self.w.write_all(
-            format!(
-                "#%end events={} crc={:08x}\n",
-                self.events,
-                self.total.finalize()
-            )
-            .as_bytes(),
-        )?;
+        self.buf.clear();
+        encode_footer(&mut self.buf, &self.totals)?;
+        self.w.write_all(&self.buf)?;
         self.w.flush()?;
         Ok(self.w)
     }
@@ -812,12 +769,12 @@ impl<'p> Ingestor<'p> {
     }
 
     /// Strict/Skip path: feed the builder immediately.
-    fn apply_direct(&mut self, _lineno: usize, raw: RawEvent) -> Result<(), ParseError> {
+    fn apply_direct(&mut self, _lineno: usize, raw: WalEvent) -> Result<(), ParseError> {
         match raw.kind {
-            RawKind::Node(origin) => {
+            WalEventKind::Node(origin) => {
                 self.builder.add_node(Time(raw.time), origin)?;
             }
-            RawKind::Edge(u, v) => {
+            WalEventKind::Edge(u, v) => {
                 self.builder
                     .add_edge(Time(raw.time), NodeId(u), NodeId(v))?;
             }
@@ -827,14 +784,14 @@ impl<'p> Ingestor<'p> {
 
     /// Repair path: stamp the event with a sequence number (and nodes with
     /// their raw file-order id) and push it into the reorder heap.
-    fn buffer_for_repair(&mut self, lineno: usize, raw: RawEvent) {
+    fn buffer_for_repair(&mut self, lineno: usize, raw: WalEvent) {
         let kind = match raw.kind {
-            RawKind::Node(origin) => {
+            WalEventKind::Node(origin) => {
                 let raw_id = self.remap.len() as u32;
                 self.remap.push(None);
                 PendingKind::Node { origin, raw_id }
             }
-            RawKind::Edge(u, v) => PendingKind::Edge { u, v },
+            WalEventKind::Edge(u, v) => PendingKind::Edge { u, v },
         };
         let p = Pending {
             time: raw.time,
@@ -1015,15 +972,6 @@ mod tests {
     }
 
     #[test]
-    fn roundtrip() {
-        let log = sample();
-        let mut buf = Vec::new();
-        write_log(&log, &mut buf).unwrap();
-        let parsed = read_log(&buf[..]).unwrap();
-        assert_logs_equal(&parsed, &log);
-    }
-
-    #[test]
     fn comments_and_blanks_skipped() {
         let text = "# header\n\nN 0 core\nN 1 core\nE 2 0 1\n";
         let log = read_log(text.as_bytes()).unwrap();
@@ -1094,7 +1042,9 @@ mod tests {
             .filter(|l| !l.starts_with('#'))
             .map(|l| format!("{l}\n"))
             .collect();
-        let parsed = read_log(stripped.as_bytes()).unwrap();
+        let (parsed, report) =
+            read_log_with_policy(stripped.as_bytes(), &RecoveryPolicy::Strict).unwrap();
+        assert_eq!(report.format_version, 1);
         assert_logs_equal(&parsed, &log);
     }
 

@@ -34,7 +34,7 @@
 //! framing and log validation.
 
 use crate::event::Origin;
-use crate::frame::{parse_payload, Frame, Framer, Lines, RawEvent, RawKind};
+use crate::frame::{parse_payload, Frame, Framer, Lines, WalEvent, WalEventKind};
 use crate::io::{RecoveryPolicy, FORMAT_V2_MAGIC};
 use std::fmt;
 use std::fs::File;
@@ -436,14 +436,14 @@ fn spend(problems: &mut usize, budget: usize, n: usize) -> Result<(), TailError>
     Ok(())
 }
 
-fn convert(raw: RawEvent) -> TailEvent {
-    match raw.kind {
-        RawKind::Node(origin) => TailEvent::Node {
-            time: Time(raw.time),
+fn convert(ev: WalEvent) -> TailEvent {
+    match ev.kind {
+        WalEventKind::Node(origin) => TailEvent::Node {
+            time: Time(ev.time),
             origin,
         },
-        RawKind::Edge(u, v) => TailEvent::Edge {
-            time: Time(raw.time),
+        WalEventKind::Edge(u, v) => TailEvent::Edge {
+            time: Time(ev.time),
             u: NodeId(u),
             v: NodeId(v),
         },

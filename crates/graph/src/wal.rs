@@ -30,16 +30,19 @@
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
 
 use crate::atomicfile::write_bytes_atomic;
-use crate::crc32::Crc32;
-use crate::event::Origin;
-use crate::frame::{parse_directive, parse_event_line, RawKind};
-use crate::io::FORMAT_V2_MAGIC;
+use crate::crc32::crc32;
+use crate::frame::{
+    encode_chunk, encode_directive, encode_footer, encode_magic, parse_payload, BadDirective,
+    Frame, Framer, Lines, Totals, FORMAT_V2_MAGIC,
+};
+
+pub use crate::frame::{WalEvent, WalEventKind};
 
 /// Tuning knobs for a [`Wal`].
 #[derive(Debug, Clone)]
@@ -65,54 +68,6 @@ impl Default for WalOptions {
             rotate_bytes: 4 << 20,
             retain_segments: 4,
             idem_window: 65_536,
-        }
-    }
-}
-
-/// One event submitted to the write plane. Node ids are implicit (dense,
-/// in arrival order), matching the v2 line format where `N` lines carry
-/// only a timestamp and origin.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WalEvent {
-    pub time: u64,
-    pub kind: WalEventKind,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WalEventKind {
-    Node(Origin),
-    Edge(u32, u32),
-}
-
-impl WalEvent {
-    pub fn node(time: u64, origin: Origin) -> Self {
-        WalEvent {
-            time,
-            kind: WalEventKind::Node(origin),
-        }
-    }
-
-    pub fn edge(time: u64, u: u32, v: u32) -> Self {
-        WalEvent {
-            time,
-            kind: WalEventKind::Edge(u, v),
-        }
-    }
-
-    /// Parse one `N`/`E` payload line (the same grammar the trace reader
-    /// accepts).
-    pub fn parse_line(line: &str) -> Result<WalEvent, String> {
-        let raw = parse_event_line(line, 1).map_err(|e| e.to_string())?;
-        Ok(match raw.kind {
-            RawKind::Node(origin) => WalEvent::node(raw.time, origin),
-            RawKind::Edge(u, v) => WalEvent::edge(raw.time, u, v),
-        })
-    }
-
-    fn format_line(&self) -> String {
-        match self.kind {
-            WalEventKind::Node(origin) => format!("N {} {}", self.time, origin.label()),
-            WalEventKind::Edge(u, v) => format!("E {} {} {}", self.time, u, v),
         }
     }
 }
@@ -295,9 +250,7 @@ pub fn validate_key(key: &str) -> Result<(), WalError> {
 /// is indistinguishable from an ordinary comment and is ignored.
 fn marker_line(seq: u64, key: Option<&str>, events: u64) -> String {
     let body = format!("seq={seq} key={} events={events}", key.unwrap_or("-"));
-    let mut c = Crc32::new();
-    c.update(body.as_bytes());
-    format!("# batch {body} mark={:08x}\n", c.finalize())
+    format!("# batch {body} mark={:08x}\n", crc32(body.as_bytes()))
 }
 
 /// Parse a trimmed comment line as a batch marker; `None` when it is an
@@ -306,9 +259,7 @@ fn parse_marker(t: &str) -> Option<(u64, Option<String>, u64)> {
     let rest = t.strip_prefix("# batch ")?;
     let (body, mark) = rest.rsplit_once(" mark=")?;
     let mark = u32::from_str_radix(mark, 16).ok()?;
-    let mut c = Crc32::new();
-    c.update(body.as_bytes());
-    if c.finalize() != mark {
+    if crc32(body.as_bytes()) != mark {
         return None;
     }
     let mut it = body.split_ascii_whitespace();
@@ -327,31 +278,46 @@ fn parse_marker(t: &str) -> Option<(u64, Option<String>, u64)> {
 }
 
 /// One verified chunk found by [`scan_stream`].
+#[derive(Debug)]
 struct ScannedChunk {
     /// Byte offset just past the chunk's `#%chunk` directive line.
     end_offset: u64,
     /// Valid batch marker preceding the chunk, if any.
     marker: Option<(u64, Option<String>, u64)>,
-    /// Payload lines (only when scanning segments for replay).
-    payload: Vec<String>,
+    /// The payload as its CRC covers it, every line followed by `\n`
+    /// (only when scanning segments for replay).
+    payload: Vec<u8>,
+    lines: u64,
+    /// `N` lines in the chunk.
+    nodes: u64,
+    /// Timestamp of the chunk's last line.
+    last_time: Option<u64>,
+}
+
+impl ScannedChunk {
+    /// Carry a running node count and last event time past this chunk.
+    fn advance(&self, nodes: &mut u64, last_time: &mut u64) {
+        *nodes += self.nodes;
+        if let Some(t) = self.last_time {
+            *last_time = t;
+        }
+    }
 }
 
 /// Result of scanning one v2 stream (trace or segment) from byte zero.
+#[derive(Debug, Default)]
 struct StreamScan {
     /// Verified prefix length, excluding any footer line.
     committed: u64,
     /// Total file length.
     file_len: u64,
-    /// Payload lines inside the verified prefix.
-    payload_lines: u64,
-    /// Running CRC over the verified payload.
-    total_crc: Crc32,
-    /// `N` lines in the verified prefix.
-    node_lines: u64,
-    /// Timestamp of the last verified payload line.
-    last_time: u64,
+    /// The verified payload's line count and CRC.
+    totals: Totals,
     /// Verified `#%end` footer (byte offset where the footer line starts).
     footer_at: Option<u64>,
+    /// The failure that ended the verified prefix, when it ended at a
+    /// line that failed rather than at an unfinished one.
+    failure: Option<(usize, String)>,
     chunks: Vec<ScannedChunk>,
 }
 
@@ -367,155 +333,367 @@ impl StreamScan {
     }
 }
 
-/// Scan a v2 stream, verifying framing from the start. A verification
-/// failure that is followed by *more* framed data is mid-file damage and
-/// returns [`WalError::Corrupt`]; a failure at the physical tail is an
-/// ordinary torn write and simply ends the verified prefix.
-fn scan_stream(path: &Path, collect_payload: bool) -> Result<StreamScan, WalError> {
-    let file = File::open(path)?;
-    let file_len = file.metadata()?.len();
-    let mut r = BufReader::new(file);
-    let mut scan = StreamScan {
-        committed: 0,
-        file_len,
-        payload_lines: 0,
-        total_crc: Crc32::new(),
-        node_lines: 0,
-        last_time: 0,
-        footer_at: None,
-        chunks: Vec::new(),
-    };
-    let mut pos = 0u64;
-    let mut lineno = 0usize;
-    let mut started = false;
-    // Provisional (unverified) region since the last committed boundary.
-    let mut region_lines: Vec<String> = Vec::new();
-    let mut region_crc = Crc32::new();
-    let mut pending_marker: Option<(u64, Option<String>, u64)> = None;
-    // First framing failure seen; fatal only if framed data follows.
-    let mut failure: Option<(usize, String)> = None;
-
+/// Scan a v2 stream from the start through the shared framer, with the
+/// WAL's rules on top. A failure — a non-UTF-8 line, a chunk directive
+/// that does not parse or verify, a footer inside a chunk, any other `#%`
+/// line — ends the verified prefix: a torn write at the tail, mid-file
+/// damage ([`WalError::Corrupt`]) if framed data follows. A bad footer,
+/// anything after a good one and an unparseable verified line are
+/// always corrupt.
+fn scan_stream(path: &Path, keep_payload: bool) -> Result<StreamScan, WalError> {
     let corrupt = |line: usize, reason: String| WalError::Corrupt {
         path: path.to_path_buf(),
         line,
         reason,
     };
-
-    let mut raw = Vec::new();
-    loop {
-        raw.clear();
-        let n = r.read_until(b'\n', &mut raw)?;
-        if n == 0 {
-            break;
-        }
+    let file = File::open(path)?;
+    let mut scan = StreamScan {
+        file_len: file.metadata()?.len(),
+        ..StreamScan::default()
+    };
+    let mut lines = Lines::new(file);
+    let mut framer = Framer::default();
+    let (mut pos, mut lineno, mut started) = (0u64, 0usize, false);
+    let mut marker = None;
+    while let Some(raw) = lines.next_line()? {
         lineno += 1;
         let line_start = pos;
-        pos += n as u64;
+        pos += raw.len() as u64;
         if raw.last() != Some(&b'\n') {
             // Unterminated final line: torn tail, never counts as framing.
             break;
         }
-        if let Some((line, reason)) = &failure {
+        let t = raw.trim_ascii();
+        if let Some((line, reason)) = &scan.failure {
             // After a failure we only look for later framed data, which
             // upgrades the failure from "torn tail" to "corrupt".
-            let t = raw.trim_ascii();
             if t.starts_with(b"#%") {
                 return Err(corrupt(*line, reason.clone()));
             }
             continue;
         }
-        let t = match std::str::from_utf8(raw.trim_ascii()) {
-            Ok(t) => t,
-            Err(_) => {
-                failure = Some((lineno, "non-utf8 line".to_string()));
-                continue;
-            }
+        let Ok(text) = std::str::from_utf8(t) else {
+            scan.failure = Some((lineno, "non-utf8 line".to_string()));
+            continue;
         };
         if !started {
-            if t == FORMAT_V2_MAGIC {
-                started = true;
-                scan.committed = pos;
-                continue;
+            if text != FORMAT_V2_MAGIC {
+                return Err(corrupt(lineno, format!("missing v2 magic, got {text:?}")));
             }
-            return Err(corrupt(lineno, format!("missing v2 magic, got {t:?}")));
+            started = true;
+            scan.committed = pos;
+            continue;
         }
-        if scan.footer_at.is_some() {
+        if framer.footer_seen() {
             return Err(corrupt(lineno, "data after #%end footer".to_string()));
         }
-        if t.is_empty() || (t.starts_with('#') && !t.starts_with("#%")) {
-            if region_lines.is_empty() {
-                if let Some(m) = parse_marker(t) {
-                    pending_marker = Some(m);
+        let buffered = framer.pending() > 0;
+        let failure = match framer.feed(lineno, t) {
+            // Comments inside a chunk commit only with it, and only a
+            // marker outside one belongs to the next chunk.
+            Frame::Comment if buffered => continue,
+            Frame::Comment => {
+                if let Some(m) = parse_marker(text) {
+                    marker = Some(m);
                 }
                 scan.committed = pos;
-            }
-            // Comments inside a provisional region are legal but commit
-            // only with their chunk.
-            continue;
-        }
-        if let Some(rest) = t.strip_prefix("#%chunk ") {
-            match parse_directive(rest, "lines=") {
-                Some((lines, crc))
-                    if lines == region_lines.len() && crc == region_crc.clone().finalize() =>
-                {
-                    for (i, l) in region_lines.iter().enumerate() {
-                        let ev = parse_event_line(l, lineno.saturating_sub(region_lines.len() - i))
-                            .map_err(|e| corrupt(lineno, e.to_string()))?;
-                        if let RawKind::Node(_) = ev.kind {
-                            scan.node_lines += 1;
-                        }
-                        scan.last_time = ev.time;
-                        scan.total_crc.update(l.as_bytes());
-                        scan.total_crc.update(b"\n");
-                    }
-                    scan.payload_lines += region_lines.len() as u64;
-                    scan.chunks.push(ScannedChunk {
-                        end_offset: pos,
-                        marker: pending_marker.take(),
-                        payload: if collect_payload {
-                            std::mem::take(&mut region_lines)
-                        } else {
-                            Vec::new()
-                        },
-                    });
-                    region_lines.clear();
-                    region_crc = Crc32::new();
-                    scan.committed = pos;
-                }
-                _ => {
-                    failure = Some((lineno, "chunk directive verification failed".to_string()));
-                }
-            }
-            continue;
-        }
-        if let Some(rest) = t.strip_prefix("#%end ") {
-            if !region_lines.is_empty() {
-                failure = Some((lineno, "footer inside unterminated chunk".to_string()));
                 continue;
             }
-            match parse_directive(rest, "events=") {
-                Some((events, crc))
-                    if events as u64 == scan.payload_lines
-                        && crc == scan.total_crc.clone().finalize() =>
-                {
-                    scan.footer_at = Some(line_start);
+            Frame::Buffered | Frame::AfterFooter => continue,
+            Frame::Verified(chunk) => {
+                let mut c = ScannedChunk {
+                    end_offset: pos,
+                    marker: marker.take(),
+                    payload: if keep_payload {
+                        chunk.payload().to_vec()
+                    } else {
+                        Vec::new()
+                    },
+                    lines: 0,
+                    nodes: 0,
+                    last_time: None,
+                };
+                for (ln, line) in chunk {
+                    let ev = parse_payload(line, ln).map_err(|e| corrupt(lineno, e.to_string()))?;
+                    c.lines += 1;
+                    c.nodes += u64::from(matches!(ev.kind, WalEventKind::Node(_)));
+                    c.last_time = Some(ev.time);
                 }
-                _ => {
-                    return Err(corrupt(lineno, "footer verification failed".to_string()));
+                scan.chunks.push(c);
+                scan.committed = pos;
+                continue;
+            }
+            Frame::Footer {
+                dropped: None,
+                verdict: Ok(()),
+            } => {
+                scan.footer_at = Some(line_start);
+                continue;
+            }
+            Frame::Footer { .. } | Frame::Bad(BadDirective::End(_)) if buffered => {
+                "footer inside unterminated chunk".to_string()
+            }
+            Frame::Footer { .. } | Frame::Bad(BadDirective::End(_)) => {
+                return Err(corrupt(lineno, "footer verification failed".to_string()));
+            }
+            Frame::Dropped(_) | Frame::Bad(BadDirective::Chunk(_)) => {
+                "chunk directive verification failed".to_string()
+            }
+            // A second magic or any other directive (the line is UTF-8).
+            Frame::Bad(_) => format!("unknown directive {text:?}"),
+        };
+        scan.failure = Some((lineno, failure));
+    }
+    scan.totals = framer.totals().clone();
+    Ok(scan)
+}
+
+/// A verified segment chunk with its batch marker.
+#[derive(Debug)]
+struct Batch {
+    seq: u64,
+    key: Option<String>,
+    chunk: ScannedChunk,
+}
+
+/// How [`check_segments`] judged one WAL segment.
+#[derive(Debug)]
+pub enum SegmentState {
+    /// Ends in a verified `#%end` footer.
+    Sealed,
+    /// The last segment, without a footer. Open truncates the
+    /// `torn_bytes` past its verified prefix; `damage` says why the
+    /// prefix ended there when they are not an unfinished append.
+    Active {
+        torn_bytes: u64,
+        damage: Option<String>,
+    },
+    /// An earlier segment without its footer, ending at a chunk: open
+    /// accepts it, though a crash only ever leaves the last unfinished.
+    Unfinished,
+    /// [`Wal::open`] refuses to start, with this error.
+    Corrupt(WalError),
+}
+
+/// One WAL segment as the open-time segment check judged it.
+#[derive(Debug)]
+pub struct SegmentVerdict {
+    pub index: u64,
+    pub path: PathBuf,
+    /// Verified chunks in the segment and the events they hold.
+    pub chunks: u64,
+    pub events: u64,
+    pub state: SegmentState,
+    /// The segment's batches, for replay at open.
+    batches: Vec<Batch>,
+    scan: StreamScan,
+}
+
+/// The segment pass of [`Wal::open`], one verdict per segment in `dir`,
+/// in order. Each segment is scanned; every verified chunk must follow a
+/// batch marker that declares its event count; batch seqs increase
+/// across segments; and only the last segment may end in torn bytes.
+/// Open refuses to start on the first [`SegmentState::Corrupt`] verdict
+/// and `osn verify --wal` prints them all. Only I/O errors fail the pass;
+/// a segment that vanishes once listed was pruned and is left out.
+pub fn check_segments(dir: &Path) -> io::Result<Vec<SegmentVerdict>> {
+    let segs = list_segments(dir)?;
+    let last = segs.len().saturating_sub(1);
+    let mut prev_seq = None;
+    let mut out = Vec::with_capacity(segs.len());
+    for (i, (index, path)) in segs.into_iter().enumerate() {
+        let mut v = SegmentVerdict {
+            index,
+            path,
+            chunks: 0,
+            events: 0,
+            state: SegmentState::Unfinished,
+            batches: Vec::new(),
+            scan: StreamScan::default(),
+        };
+        v.state = match scan_stream(&v.path, true) {
+            // Pruned since the listing by a running writer: applied.
+            Err(WalError::Io(e)) if e.kind() == io::ErrorKind::NotFound => continue,
+            Err(WalError::Io(e)) => return Err(e),
+            Err(corrupt) => SegmentState::Corrupt(corrupt),
+            Ok(scan) => {
+                v.chunks = scan.chunks.len() as u64;
+                v.events = scan.chunks.iter().map(|c| c.lines).sum();
+                v.scan = scan;
+                (v.check(i == last, &mut prev_seq)).unwrap_or_else(SegmentState::Corrupt)
+            }
+        };
+        out.push(v);
+    }
+    Ok(out)
+}
+
+impl SegmentVerdict {
+    /// Open's rules for a scanned segment, moving its chunks into batches.
+    fn check(&mut self, last: bool, prev_seq: &mut Option<u64>) -> Result<SegmentState, WalError> {
+        let corrupt = |reason: String| WalError::Corrupt {
+            path: self.path.clone(),
+            line: 0,
+            reason,
+        };
+        let torn_bytes = self.scan.torn_bytes();
+        if torn_bytes > 0 && !last {
+            return Err(corrupt("sealed segment has a torn tail".to_string()));
+        }
+        for mut chunk in self.scan.chunks.drain(..) {
+            let Some((seq, key, declared)) = chunk.marker.take() else {
+                return Err(corrupt("segment chunk without a batch marker".to_string()));
+            };
+            if declared != chunk.lines {
+                return Err(corrupt(format!(
+                    "marker declares {declared} events, chunk has {}",
+                    chunk.lines
+                )));
+            }
+            if let Some(prev) = *prev_seq {
+                if seq <= prev {
+                    return Err(corrupt(format!(
+                        "non-increasing batch seq {seq} after {prev}"
+                    )));
                 }
             }
-            continue;
+            *prev_seq = Some(seq);
+            self.batches.push(Batch { seq, key, chunk });
         }
-        if t.starts_with("#%") {
-            failure = Some((lineno, format!("unknown directive {t:?}")));
-            continue;
-        }
-        // Payload line: provisionally part of the current region.
-        region_crc.update(t.as_bytes());
-        region_crc.update(b"\n");
-        region_lines.push(t.to_string());
+        Ok(if self.scan.footer_at.is_some() {
+            SegmentState::Sealed
+        } else if last {
+            SegmentState::Active {
+                torn_bytes,
+                damage: (self.scan.failure.as_ref())
+                    .map(|(line, reason)| format!("line {line}: {reason}")),
+            }
+        } else {
+            SegmentState::Unfinished
+        })
     }
-    Ok(scan)
+}
+
+/// The trace side of [`check_trace`]: the error [`Wal::open`] would
+/// refuse the trace with, if any, or `None` when the trace was not
+/// checked — a segment is corrupt (open refuses on that first), or the
+/// writer rotated during every attempt.
+pub type TraceCheck = Option<Result<(), WalError>>;
+
+/// The segment verdicts of `dir` ([`check_segments`]) and the trace side
+/// of [`Wal::open`]'s checks, run without writing.
+///
+/// The files are read in the order that keeps the result exact beside a
+/// running writer: the `applied.ckpt` sidecar, the trace, then the
+/// segments. A batch reaches its segment before the trace, so every trace
+/// chunk read is in a segment read after it. A rotation in between may
+/// prune segments holding batches past the sidecar read first, so a
+/// check during which the sidecar moves starts again, up to four times.
+pub fn check_trace(trace_path: &Path, dir: &Path) -> io::Result<(Vec<SegmentVerdict>, TraceCheck)> {
+    for _ in 0..4 {
+        let sidecar = read_sidecar(dir)?;
+        let tscan = scan_stream(trace_path, false);
+        let segments = check_segments(dir)?;
+        if read_sidecar(dir)? != sidecar {
+            continue;
+        }
+        if (segments.iter()).any(|v| matches!(v.state, SegmentState::Corrupt(_))) {
+            return Ok((segments, None));
+        }
+        let seqs: Vec<u64> = (segments.iter())
+            .flat_map(|v| v.batches.iter().map(|b| b.seq))
+            .collect();
+        let verdict = match tscan {
+            Err(WalError::Io(e)) => return Err(e),
+            Err(corrupt) => Err(corrupt),
+            Ok(tscan) => reconcile(trace_path, dir, sidecar, &tscan, &seqs).map(|_| ()),
+        };
+        return Ok((segments, Some(verdict)));
+    }
+    Ok((check_segments(dir)?, None))
+}
+
+/// Open's checkpoint rules: once segments hold batches (`seqs`, in
+/// order) the `applied.ckpt` sidecar (its `(trace offset, seq)` pair)
+/// must exist, it must not claim trace bytes that are gone, and every
+/// trace chunk past it must be one of the batches after it. Returns the
+/// seq the sidecar records and the last seq the trace already holds.
+fn reconcile(
+    trace_path: &Path,
+    dir: &Path,
+    sidecar: Option<(u64, u64)>,
+    tscan: &StreamScan,
+    seqs: &[u64],
+) -> Result<(u64, u64), WalError> {
+    if sidecar.is_none() && !seqs.is_empty() {
+        // The sidecar is written on every open; losing it while
+        // segments hold batches means the directory was tampered with,
+        // and guessing risks double-applying batches to the trace.
+        return Err(WalError::Corrupt {
+            path: dir.join(SIDECAR_NAME),
+            line: 0,
+            reason: "applied.ckpt missing but segments hold batches".to_string(),
+        });
+    }
+    // Without a sidecar the whole verified trace counts as applied.
+    let (side_off, side_seq) = sidecar.unwrap_or((tscan.committed, 0));
+    if side_off > tscan.committed {
+        // The checkpoint claims durably-applied trace bytes that are not
+        // there. The sidecar is only ever written after the trace is
+        // fsynced, so this means the trace was truncated or replaced
+        // outside the write plane — and the batches the checkpoint
+        // covers may already be pruned from the segments. Refuse rather
+        // than silently resume with acknowledged events missing.
+        return Err(WalError::Corrupt {
+            path: trace_path.to_path_buf(),
+            line: 0,
+            reason: format!(
+                "applied.ckpt records trace offset {side_off} but only {} verified byte(s) \
+                 exist; the trace lost durably-applied data",
+                tscan.committed
+            ),
+        });
+    }
+    let extra_trace = tscan
+        .chunks
+        .iter()
+        .filter(|c| c.end_offset > side_off)
+        .count();
+    let wal_after: Vec<u64> = seqs.iter().copied().filter(|&s| s > side_seq).collect();
+    if extra_trace > wal_after.len() {
+        return Err(WalError::Corrupt {
+            path: trace_path.to_path_buf(),
+            line: 0,
+            reason: format!(
+                "trace has {extra_trace} chunk(s) past the checkpoint but the wal only \
+                 records {}; the trace was modified outside the write plane",
+                wal_after.len()
+            ),
+        });
+    }
+    let applied_seq = match extra_trace {
+        0 => side_seq,
+        n => wal_after[n - 1],
+    };
+    Ok((side_seq, applied_seq))
+}
+
+/// Create (or empty) `path` as a v2 stream holding only the format magic,
+/// durably; returns its length.
+fn start_stream(path: &Path) -> io::Result<u64> {
+    let mut magic = Vec::new();
+    encode_magic(&mut magic);
+    let mut f = File::create(path)?;
+    f.write_all(&magic)?;
+    f.sync_data()?;
+    Ok(magic.len() as u64)
+}
+
+/// Cut the file at `path` down to `len` bytes, durably.
+fn truncate(path: &Path, len: u64) -> io::Result<()> {
+    let f = OpenOptions::new().write(true).open(path)?;
+    f.set_len(len)?;
+    f.sync_data()
 }
 
 const SIDECAR_NAME: &str = "applied.ckpt";
@@ -573,13 +751,12 @@ struct Inner {
     seg: File,
     seg_index: u64,
     seg_bytes: u64,
-    seg_payload: u64,
-    seg_crc: Crc32,
+    /// Running totals for the segment footer written at rotation.
+    seg_totals: Totals,
     next_seq: u64,
     applied_seq: u64,
-    // Running totals for the trace footer written at seal time.
-    total_crc: Crc32,
-    payload_lines: u64,
+    /// Running totals for the trace footer written at seal time.
+    trace_totals: Totals,
     node_count: u64,
     last_time: u64,
     sealed: bool,
@@ -670,9 +847,7 @@ impl Wal {
 
         // -- Trace: create, scan, repair tail, unseal. --------------------
         if !trace_path.exists() {
-            let mut f = File::create(trace_path)?;
-            writeln!(f, "{FORMAT_V2_MAGIC}")?;
-            f.sync_data()?;
+            start_stream(trace_path)?;
         }
         let tscan = scan_stream(trace_path, false)?;
         let mut trace_len = tscan.committed;
@@ -680,218 +855,81 @@ impl Wal {
         report.trace_truncated_bytes = tscan.torn_bytes();
         if tscan.file_len > trace_len {
             // Drop the torn tail and/or footer in place.
-            let f = OpenOptions::new().write(true).open(trace_path)?;
-            f.set_len(trace_len)?;
-            f.sync_data()?;
+            truncate(trace_path, trace_len)?;
         }
         if trace_len == 0 {
             // Empty file or torn magic line: start a fresh v2 stream.
-            let mut f = OpenOptions::new().write(true).open(trace_path)?;
-            writeln!(f, "{FORMAT_V2_MAGIC}")?;
-            f.sync_data()?;
-            trace_len = fs::metadata(trace_path)?.len();
+            trace_len = start_stream(trace_path)?;
         }
 
-        // -- Segments: scan each, repair the active tail. -----------------
-        let mut segs = list_segments(dir)?;
-        if segs.is_empty() {
-            let path = dir.join(segment_name(1));
-            let mut f = File::create(&path)?;
-            writeln!(f, "{FORMAT_V2_MAGIC}")?;
-            f.sync_data()?;
+        // -- Segments: check each, repair the active tail. ----------------
+        if list_segments(dir)?.is_empty() {
+            start_stream(&dir.join(segment_name(1)))?;
             fsync_dir(dir);
-            segs.push((1, path));
         }
-        // A crash between "create next segment" and "write its magic" can
-        // leave a final empty segment: reset it.
-        if let Some((_, last_path)) = segs.last() {
-            if fs::metadata(last_path)?.len() == 0 {
-                let mut f = OpenOptions::new().write(true).open(last_path)?;
-                f.set_len(0)?;
-                writeln!(f, "{FORMAT_V2_MAGIC}")?;
-                f.sync_data()?;
-            }
-        }
-        let mut chunks: Vec<(u64, Option<String>, Vec<String>)> = Vec::new();
-        let mut active_scan: Option<StreamScan> = None;
-        let last_index = segs.last().map(|(i, _)| *i).unwrap_or(1);
-        for (idx, path) in &segs {
-            let mut sscan = scan_stream(path, true)?;
-            let torn = sscan.torn_bytes();
-            if torn > 0 {
-                if *idx != last_index {
-                    return Err(WalError::Corrupt {
-                        path: path.clone(),
-                        line: 0,
-                        reason: "sealed segment has a torn tail".to_string(),
-                    });
-                }
-                report.wal_truncated_bytes = torn;
-                let f = OpenOptions::new().write(true).open(path)?;
-                f.set_len(sscan.committed)?;
-                f.sync_data()?;
-                if sscan.committed == 0 {
-                    // Torn magic line: restart the segment stream.
-                    let mut f = OpenOptions::new().write(true).open(path)?;
-                    writeln!(f, "{FORMAT_V2_MAGIC}")?;
-                    f.sync_data()?;
-                }
-            }
-            for c in sscan.chunks.drain(..) {
-                let (seq, key, declared) = match c.marker {
-                    Some(m) => m,
-                    None => {
-                        return Err(WalError::Corrupt {
-                            path: path.clone(),
-                            line: 0,
-                            reason: "segment chunk without a batch marker".to_string(),
-                        })
+        let mut batches: Vec<Batch> = Vec::new();
+        let mut active = None;
+        for v in check_segments(dir)? {
+            match v.state {
+                SegmentState::Corrupt(e) => return Err(e),
+                SegmentState::Active { torn_bytes, .. } => {
+                    if torn_bytes > 0 {
+                        report.wal_truncated_bytes = torn_bytes;
+                        truncate(&v.path, v.scan.committed)?;
                     }
-                };
-                if declared != c.payload.len() as u64 {
-                    return Err(WalError::Corrupt {
-                        path: path.clone(),
-                        line: 0,
-                        reason: format!(
-                            "marker declares {declared} events, chunk has {}",
-                            c.payload.len()
-                        ),
-                    });
-                }
-                if let Some((prev, _, _)) = chunks.last() {
-                    if seq <= *prev {
-                        return Err(WalError::Corrupt {
-                            path: path.clone(),
-                            line: 0,
-                            reason: format!("non-increasing batch seq {seq} after {prev}"),
-                        });
+                    if v.scan.committed == 0 {
+                        // Empty, or a torn magic line: a crash between
+                        // creating the segment and writing its magic.
+                        start_stream(&v.path)?;
                     }
                 }
-                chunks.push((seq, key, c.payload));
+                SegmentState::Sealed | SegmentState::Unfinished => {}
             }
-            if *idx == last_index {
-                active_scan = Some(sscan);
-            }
+            batches.extend(v.batches);
+            active = Some((v.index, v.path, v.scan));
         }
-        let active_scan = active_scan.expect("at least one segment");
+        let (mut seg_index, mut seg_path, active_scan) = active.expect("at least one segment");
 
         // -- Reconcile: count trace chunks past the sidecar, replay the
         //    rest of the WAL into the trace. ------------------------------
-        let sidecar = read_sidecar(dir)?;
-        if sidecar.is_none() && !chunks.is_empty() {
-            // The sidecar is written on every open; losing it while
-            // segments hold batches means the directory was tampered with,
-            // and guessing risks double-applying batches to the trace.
-            return Err(WalError::Corrupt {
-                path: dir.join(SIDECAR_NAME),
-                line: 0,
-                reason: "applied.ckpt missing but segments hold batches".to_string(),
-            });
+        let seqs: Vec<u64> = batches.iter().map(|b| b.seq).collect();
+        let (side_seq, applied_seq) =
+            reconcile(trace_path, dir, read_sidecar(dir)?, &tscan, &seqs)?;
+        let mut trace_totals = tscan.totals.clone();
+        let (mut node_count, mut last_time) = (0, 0);
+        for c in &tscan.chunks {
+            c.advance(&mut node_count, &mut last_time);
         }
-        let (side_off, side_seq) = sidecar.unwrap_or((trace_len, 0));
-        if sidecar.is_some() && side_off > tscan.committed {
-            // The checkpoint claims durably-applied trace bytes that are not
-            // there. The sidecar is only ever written after the trace is
-            // fsynced, so this means the trace was truncated or replaced
-            // outside the write plane — and the batches the checkpoint
-            // covers may already be pruned from the segments. Refuse rather
-            // than silently resume with acknowledged events missing.
-            return Err(WalError::Corrupt {
-                path: trace_path.to_path_buf(),
-                line: 0,
-                reason: format!(
-                    "applied.ckpt records trace offset {side_off} but only {} verified byte(s) \
-                     exist; the trace lost durably-applied data",
-                    tscan.committed
-                ),
-            });
-        }
-        let extra_trace = tscan
-            .chunks
-            .iter()
-            .filter(|c| c.end_offset > side_off)
-            .count() as u64;
-        let wal_after: Vec<&(u64, Option<String>, Vec<String>)> =
-            chunks.iter().filter(|(s, _, _)| *s > side_seq).collect();
-        if extra_trace > wal_after.len() as u64 {
-            return Err(WalError::Corrupt {
-                path: trace_path.to_path_buf(),
-                line: 0,
-                reason: format!(
-                    "trace has {extra_trace} chunk(s) past the checkpoint but the wal only \
-                     records {}; the trace was modified outside the write plane",
-                    wal_after.len()
-                ),
-            });
-        }
-        let applied_seq = if extra_trace > 0 {
-            wal_after[extra_trace as usize - 1].0
-        } else {
-            side_seq
-        };
-        let mut total_crc = tscan.total_crc.clone();
-        let mut payload_lines = tscan.payload_lines;
-        let mut node_count = tscan.node_lines;
-        let mut last_time = tscan.last_time;
-        let max_seq = chunks.last().map(|(s, _, _)| *s).unwrap_or(0);
+        // Seqs never go back, not even once every batch has been pruned
+        // (the checkpoint still records the last one).
+        let max_seq = batches.last().map_or(0, |b| b.seq).max(side_seq);
         if applied_seq < max_seq {
+            // The segment chunks verified at open go back out byte for
+            // byte, each closed by its directive.
             let mut trace = OpenOptions::new().append(true).open(trace_path)?;
-            for (_, _, payload) in chunks.iter().filter(|(s, _, _)| *s > applied_seq) {
-                let bytes = serialize_chunk(payload.iter().map(|s| s.as_str()));
-                trace.write_all(&bytes)?;
-                trace_len += bytes.len() as u64;
-                for l in payload {
-                    let ev = parse_event_line(l, 1).map_err(|e| WalError::Corrupt {
-                        path: trace_path.to_path_buf(),
-                        line: 0,
-                        reason: e.to_string(),
-                    })?;
-                    if let RawKind::Node(_) = ev.kind {
-                        node_count += 1;
-                    }
-                    last_time = ev.time;
-                    total_crc.update(l.as_bytes());
-                    total_crc.update(b"\n");
-                }
-                payload_lines += payload.len() as u64;
+            let mut buf = Vec::new();
+            for b in batches.iter().filter(|b| b.seq > applied_seq) {
+                buf.clear();
+                buf.extend_from_slice(&b.chunk.payload);
+                encode_directive(&mut buf, 0, b.chunk.lines as usize, &mut trace_totals)?;
+                trace.write_all(&buf)?;
+                trace_len += buf.len() as u64;
+                b.chunk.advance(&mut node_count, &mut last_time);
                 report.replayed_chunks += 1;
-                report.replayed_events += payload.len() as u64;
+                report.replayed_events += b.chunk.lines;
             }
             trace.flush()?;
             trace.sync_data()?;
         }
 
-        // -- Idempotency window from retained markers. --------------------
-        let mut idem = HashMap::new();
-        let mut idem_order = VecDeque::new();
-        for (seq, key, payload) in &chunks {
-            if let Some(k) = key {
-                if opts.idem_window > 0 {
-                    while idem_order.len() >= opts.idem_window {
-                        if let Some(old) = idem_order.pop_front() {
-                            idem.remove(&old);
-                        }
-                    }
-                    idem.insert(k.clone(), (*seq, payload.len() as u64));
-                    idem_order.push_back(k.clone());
-                }
-            }
-        }
-        report.keys_loaded = idem.len();
-
         // -- Active segment handle (rotate immediately if it is sealed). --
-        let (mut seg_index, mut seg_path) = segs.last().cloned().expect("segment");
-        let mut seg_payload = active_scan.payload_lines;
-        let mut seg_crc = active_scan.total_crc.clone();
+        let mut seg_totals = active_scan.totals;
         if active_scan.footer_at.is_some() {
             seg_index += 1;
             seg_path = dir.join(segment_name(seg_index));
-            let mut f = File::create(&seg_path)?;
-            writeln!(f, "{FORMAT_V2_MAGIC}")?;
-            f.sync_data()?;
+            start_stream(&seg_path)?;
             fsync_dir(dir);
-            seg_payload = 0;
-            seg_crc = Crc32::new();
+            seg_totals = Totals::default();
         }
         let seg = OpenOptions::new().append(true).open(&seg_path)?;
         let seg_bytes = seg.metadata()?.len();
@@ -905,29 +943,36 @@ impl Wal {
         trace.sync_data()?;
         write_sidecar(dir, trace_len, max_seq)?;
 
+        let mut inner = Inner {
+            trace,
+            trace_len,
+            seg,
+            seg_index,
+            seg_bytes,
+            seg_totals,
+            next_seq,
+            applied_seq: max_seq,
+            trace_totals,
+            node_count,
+            last_time,
+            sealed: false,
+            pending: VecDeque::new(),
+            idem: HashMap::new(),
+            idem_order: VecDeque::new(),
+        };
+        // -- Idempotency window from retained markers. --------------------
+        for b in batches {
+            if let Some(key) = b.key {
+                inner.remember_key(key, b.seq, b.chunk.lines, opts.idem_window);
+            }
+        }
+        report.keys_loaded = inner.idem.len();
+
         let wal = Wal {
             trace_path: trace_path.to_path_buf(),
             dir: dir.to_path_buf(),
             opts,
-            inner: Mutex::new(Inner {
-                trace,
-                trace_len,
-                seg,
-                seg_index,
-                seg_bytes,
-                seg_payload,
-                seg_crc,
-                next_seq,
-                applied_seq: max_seq,
-                total_crc,
-                payload_lines,
-                node_count,
-                last_time,
-                sealed: false,
-                pending: VecDeque::new(),
-                idem,
-                idem_order,
-            }),
+            inner: Mutex::new(inner),
             sync: Mutex::new(SyncState {
                 synced_seq: max_seq,
                 syncing: false,
@@ -1019,7 +1064,6 @@ impl Wal {
             // Validate the whole batch before writing a byte.
             let mut running = inner.last_time;
             let mut nodes = inner.node_count;
-            let mut lines = Vec::with_capacity(events.len());
             for (i, e) in events.iter().enumerate() {
                 if e.time < running {
                     return Err(WalError::OutOfOrder {
@@ -1046,12 +1090,8 @@ impl Wal {
                                 ),
                             });
                         }
-                        let (a, b) = (u.min(v), u.max(v));
-                        lines.push(WalEvent::edge(e.time, a, b).format_line());
-                        continue;
                     }
                 }
-                lines.push(e.format_line());
             }
 
             if inner.seg_bytes >= self.opts.rotate_bytes {
@@ -1061,21 +1101,22 @@ impl Wal {
             seq = inner.next_seq;
             inner.next_seq += 1;
 
-            // Segment record: marker + payload + directive, one write.
+            // Segment record: marker + payload + directive, one write. The
+            // trace gets the same chunk without the marker; edges are
+            // written with their smaller endpoint first.
             let mut rec = marker_line(seq, key, events.len() as u64).into_bytes();
-            let chunk = serialize_chunk(lines.iter().map(|s| s.as_str()));
-            rec.extend_from_slice(&chunk);
+            let lines = events.iter().map(|e| match e.kind {
+                WalEventKind::Edge(u, v) => WalEvent::edge(e.time, u.min(v), u.max(v)),
+                WalEventKind::Node(_) => *e,
+            });
+            let mut seg_totals = inner.seg_totals.clone();
+            let payload = encode_chunk(&mut rec, lines, &mut seg_totals)?;
             inner.seg.write_all(&rec)?;
             inner.seg.flush()?;
             inner.seg_bytes += rec.len() as u64;
-            inner.seg_payload += lines.len() as u64;
-            for l in &lines {
-                inner.seg_crc.update(l.as_bytes());
-                inner.seg_crc.update(b"\n");
-                inner.total_crc.update(l.as_bytes());
-                inner.total_crc.update(b"\n");
-            }
-            inner.payload_lines += lines.len() as u64;
+            inner.seg_totals = seg_totals;
+            inner.trace_totals.add(&rec[payload.clone()], events.len());
+            let chunk = rec.split_off(payload.start);
             inner.node_count = nodes;
             inner.last_time = running;
             inner.pending.push_back(PendingApply { seq, bytes: chunk });
@@ -1087,17 +1128,11 @@ impl Wal {
             self.appends.fetch_add(1, Ordering::Relaxed);
 
             if !self.opts.fsync {
+                // Durable as far as this log promises: the group commit
+                // below returns at once.
                 inner.apply_pending(seq)?;
                 drop(inner);
-                let mut sync = self.sync.lock().unwrap();
-                sync.synced_seq = sync.synced_seq.max(seq);
-                drop(sync);
-                self.synced_cv.notify_all();
-                return Ok(WalAck {
-                    seq,
-                    events: events.len() as u64,
-                    duplicate: false,
-                });
+                self.mark_synced(seq);
             }
         }
         self.group_commit(seq)?;
@@ -1170,28 +1205,18 @@ impl Wal {
         // the segments holding these batches, so the trace bytes must be
         // durable first — apply_pending only writes into page cache.
         inner.trace.sync_data()?;
-        {
-            let mut sync = self.sync.lock().unwrap();
-            sync.synced_seq = sync.synced_seq.max(upto);
-        }
-        self.synced_cv.notify_all();
-        let footer = format!(
-            "#%end events={} crc={:08x}\n",
-            inner.seg_payload,
-            inner.seg_crc.clone().finalize()
-        );
-        inner.seg.write_all(footer.as_bytes())?;
+        self.mark_synced(upto);
+        let mut footer = Vec::new();
+        encode_footer(&mut footer, &inner.seg_totals)?;
+        inner.seg.write_all(&footer)?;
         inner.seg.sync_data()?;
         inner.seg_index += 1;
         let path = self.dir.join(segment_name(inner.seg_index));
-        let mut f = File::create(&path)?;
-        writeln!(f, "{FORMAT_V2_MAGIC}")?;
-        f.sync_data()?;
+        let len = start_stream(&path)?;
         fsync_dir(&self.dir);
         inner.seg = OpenOptions::new().append(true).open(&path)?;
-        inner.seg_bytes = fs::metadata(&path)?.len();
-        inner.seg_payload = 0;
-        inner.seg_crc = Crc32::new();
+        inner.seg_bytes = len;
+        inner.seg_totals = Totals::default();
         write_sidecar(&self.dir, inner.trace_len, inner.applied_seq)?;
         self.prune_segments(inner.applied_seq)?;
         Ok(())
@@ -1250,51 +1275,33 @@ impl Wal {
         self.fsyncs.fetch_add(1, Ordering::Relaxed);
         let upto = self.written_seq.load(Ordering::Acquire);
         inner.apply_pending(upto)?;
-        let footer = format!(
-            "#%end events={} crc={:08x}\n",
-            inner.seg_payload,
-            inner.seg_crc.clone().finalize()
-        );
-        inner.seg.write_all(footer.as_bytes())?;
+        let mut footer = Vec::new();
+        encode_footer(&mut footer, &inner.seg_totals)?;
+        inner.seg.write_all(&footer)?;
         inner.seg.sync_data()?;
-        let tfooter = format!(
-            "#%end events={} crc={:08x}\n",
-            inner.payload_lines,
-            inner.total_crc.clone().finalize()
-        );
-        inner.trace.write_all(tfooter.as_bytes())?;
+        footer.clear();
+        encode_footer(&mut footer, &inner.trace_totals)?;
+        inner.trace.write_all(&footer)?;
         inner.trace.flush()?;
         inner.trace.sync_data()?;
         write_sidecar(&self.dir, inner.trace_len, inner.applied_seq)?;
-        {
-            let mut sync = self.sync.lock().unwrap();
-            sync.synced_seq = sync.synced_seq.max(upto);
-        }
-        self.synced_cv.notify_all();
+        self.mark_synced(upto);
         Ok(())
     }
-}
 
-/// Serialise payload lines as one v2 chunk: every line plus the `#%chunk`
-/// directive, ready for a single `write(2)`.
-fn serialize_chunk<'a>(lines: impl Iterator<Item = &'a str>) -> Vec<u8> {
-    let mut crc = Crc32::new();
-    let mut body = String::new();
-    let mut n = 0usize;
-    for l in lines {
-        crc.update(l.as_bytes());
-        crc.update(b"\n");
-        body.push_str(l);
-        body.push('\n');
-        n += 1;
+    /// Publish every batch through `upto` as durable and wake the waiters.
+    fn mark_synced(&self, upto: u64) {
+        let mut sync = self.sync.lock().unwrap();
+        sync.synced_seq = sync.synced_seq.max(upto);
+        drop(sync);
+        self.synced_cv.notify_all();
     }
-    body.push_str(&format!("#%chunk lines={n} crc={:08x}\n", crc.finalize()));
-    body.into_bytes()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::Origin;
     use crate::io::{read_log, read_log_with_policy, save_log_v2, RecoveryPolicy};
     use crate::log::EventLogBuilder;
     use crate::time::{NodeId, Time};
@@ -1411,90 +1418,6 @@ mod tests {
 
     fn batch_onto_one() -> Vec<WalEvent> {
         vec![WalEvent::node(5, Origin::Core), WalEvent::edge(6, 0, 1)]
-    }
-
-    #[test]
-    fn torn_segment_tail_is_truncated_and_batch_is_resendable() {
-        let dir = scratch("torn");
-        let trace = dir.join("t.events");
-        let wdir = dir.join("wal");
-        {
-            let (wal, _) = Wal::open(&trace, &wdir, opts_nosync()).unwrap();
-            wal.append(Some("ok"), &[WalEvent::node(0, Origin::Core)])
-                .unwrap();
-        }
-        // Simulate kill -9 mid-write: half a marker+chunk at the tail.
-        let seg = list_segments(&wdir).unwrap().pop().unwrap().1;
-        let mut f = OpenOptions::new().append(true).open(&seg).unwrap();
-        f.write_all(b"# batch seq=2 key=torn events=1 mark=0000\nN 10 core\n#%chu")
-            .unwrap();
-        drop(f);
-        let (wal, report) = Wal::open(&trace, &wdir, opts_nosync()).unwrap();
-        assert!(report.wal_truncated_bytes > 0);
-        assert_eq!(report.next_seq, 2, "torn batch was never committed");
-        let ack = wal
-            .append(Some("torn"), &[WalEvent::node(10, Origin::Core)])
-            .unwrap();
-        assert!(!ack.duplicate);
-        wal.seal().unwrap();
-        let log = read_log(File::open(&trace).unwrap()).unwrap();
-        assert_eq!(log.events().len(), 2);
-    }
-
-    #[test]
-    fn wal_chunk_missing_from_trace_is_replayed_on_open() {
-        let dir = scratch("replay");
-        let trace = dir.join("t.events");
-        let wdir = dir.join("wal");
-        let before;
-        {
-            let (wal, _) = Wal::open(&trace, &wdir, opts_nosync()).unwrap();
-            wal.append(None, &[WalEvent::node(0, Origin::Core)])
-                .unwrap();
-            before = fs::metadata(&trace).unwrap().len();
-            wal.append(Some("lost"), &batch_onto_one_node()).unwrap();
-        }
-        // Simulate a crash between WAL fsync and trace apply: the chunk is
-        // durable in the segment but missing from the trace.
-        let f = OpenOptions::new().write(true).open(&trace).unwrap();
-        f.set_len(before).unwrap();
-        drop(f);
-        let (wal, report) = Wal::open(&trace, &wdir, opts_nosync()).unwrap();
-        assert_eq!(report.replayed_chunks, 1);
-        assert_eq!(report.replayed_events, 2);
-        let dup = wal.append(Some("lost"), &batch_onto_one_node()).unwrap();
-        assert!(dup.duplicate, "replayed batch still deduplicates");
-        wal.seal().unwrap();
-        let log = read_log(File::open(&trace).unwrap()).unwrap();
-        assert_eq!(log.events().len(), 3);
-    }
-
-    fn batch_onto_one_node() -> Vec<WalEvent> {
-        vec![WalEvent::node(5, Origin::Core), WalEvent::edge(7, 0, 1)]
-    }
-
-    #[test]
-    fn torn_trace_tail_is_repaired_from_the_wal() {
-        let dir = scratch("torntrace");
-        let trace = dir.join("t.events");
-        let wdir = dir.join("wal");
-        {
-            let (wal, _) = Wal::open(&trace, &wdir, opts_nosync()).unwrap();
-            wal.append(None, &[WalEvent::node(0, Origin::Core)])
-                .unwrap();
-            wal.append(Some("t2"), &batch_onto_one_node()).unwrap();
-        }
-        // Tear the trace mid-chunk (drop the last 10 bytes).
-        let len = fs::metadata(&trace).unwrap().len();
-        let f = OpenOptions::new().write(true).open(&trace).unwrap();
-        f.set_len(len - 10).unwrap();
-        drop(f);
-        let (wal, report) = Wal::open(&trace, &wdir, opts_nosync()).unwrap();
-        assert!(report.trace_truncated_bytes > 0);
-        assert_eq!(report.replayed_chunks, 1);
-        wal.seal().unwrap();
-        let log = read_log(File::open(&trace).unwrap()).unwrap();
-        assert_eq!(log.events().len(), 3);
     }
 
     #[test]
@@ -1684,6 +1607,46 @@ mod tests {
         let log = read_log(File::open(&trace).unwrap()).unwrap();
         assert_eq!(log.events().len(), 33);
         assert_eq!(log.num_nodes(), 33);
+    }
+
+    #[test]
+    fn check_trace_beside_a_running_writer_finds_nothing_wrong() {
+        // Batches land, and segments rotate and are pruned, while the
+        // check reads: none of it may look like damage.
+        let dir = scratch("livecheck");
+        let (trace, wdir) = (dir.join("t.events"), dir.join("wal"));
+        let opts = WalOptions {
+            fsync: false,
+            rotate_bytes: 2_000,
+            retain_segments: 0,
+            ..WalOptions::default()
+        };
+        let (wal, _) = Wal::open(&trace, &wdir, opts).unwrap();
+        let done = std::sync::atomic::AtomicBool::new(false);
+        let checked = std::thread::scope(|s| {
+            s.spawn(|| {
+                for i in 0..20_000 {
+                    wal.append(None, &[WalEvent::node(i, Origin::Core)])
+                        .unwrap();
+                }
+                done.store(true, Ordering::Release);
+            });
+            let mut checked = 0;
+            while !done.load(Ordering::Acquire) {
+                let (segments, verdict) = check_trace(&trace, &wdir).unwrap();
+                for v in &segments {
+                    let ok = matches!(
+                        v.state,
+                        SegmentState::Sealed | SegmentState::Active { damage: None, .. }
+                    );
+                    assert!(ok, "{:?}: {:?}", v.path, v.state);
+                }
+                assert!(!matches!(verdict, Some(Err(_))), "{verdict:?}");
+                checked += usize::from(verdict.is_some());
+            }
+            checked
+        });
+        assert!(checked > 0, "every check overlapped a rotation");
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Property-based tests for the graph substrate.
 
-use osn_graph::io::{read_log, write_log};
+use osn_graph::io::{read_log, write_log_v2};
 use osn_graph::{CsrGraph, EventLogBuilder, NodeId, Origin, Time, UnionFind};
 use proptest::prelude::*;
 
@@ -53,12 +53,22 @@ proptest! {
             prop_assert!(u != v);
             prop_assert!(seen.insert((u, v)), "duplicate edge {u:?}-{v:?}");
         }
-        // io round-trip is lossless
+        // io round-trip is lossless, in v2 and in v1 (the v2 text with
+        // its `#%` lines removed)
         let mut buf = Vec::new();
-        write_log(&log, &mut buf).unwrap();
-        let back = read_log(&buf[..]).unwrap();
-        prop_assert_eq!(back.events().len(), log.events().len());
-        prop_assert_eq!(back.num_edges(), log.num_edges());
+        write_log_v2(&log, &mut buf).unwrap();
+        let v1: String = String::from_utf8(buf.clone())
+            .unwrap()
+            .lines()
+            .filter(|l| !l.starts_with("#%"))
+            .map(|l| format!("{l}\n"))
+            .collect();
+        for text in [&buf[..], v1.as_bytes()] {
+            let back = read_log(text).unwrap();
+            prop_assert_eq!(back.events().len(), log.events().len());
+            prop_assert_eq!(back.num_edges(), log.num_edges());
+            prop_assert_eq!(back.fingerprint(), log.fingerprint());
+        }
     }
 
     /// CSR construction from any edge set preserves degrees and

@@ -521,12 +521,74 @@ mod tests {
                 largest_component(&frozen),
                 "day {day}"
             );
-            // transitivity from the triangle/wedge counters vs batch
+            // triangles and transitivity from the counters vs batch
+            assert_eq!(state.triangles(), batch_triangles(&frozen), "day {day}");
             assert!(
                 (state.transitivity() - transitivity(&frozen)).abs() < 1e-12,
                 "day {day}"
             );
         }
+    }
+
+    /// Triangles of a frozen snapshot, each counted once.
+    fn batch_triangles(g: &osn_graph::CsrGraph) -> u64 {
+        let mut t3 = 0;
+        for u in 0..g.num_nodes() as u32 {
+            let nb = g.neighbors(u);
+            for (i, &a) in nb.iter().enumerate() {
+                t3 += crate::clustering::sorted_intersection_count(g.neighbors(a), &nb[i + 1..]);
+            }
+        }
+        t3 / 3
+    }
+
+    /// `n` nodes at time 0, then one edge per `(day, u, v)`.
+    fn triangle_log(n: u32, edges: impl IntoIterator<Item = (u64, u32, u32)>) -> EventLog {
+        let mut b = EventLogBuilder::new();
+        for _ in 0..n {
+            b.add_node(Time(0), Origin::Core).unwrap();
+        }
+        for (day, u, v) in edges {
+            b.add_edge(Time::from_days(day), NodeId(u), NodeId(v))
+                .unwrap();
+        }
+        b.build()
+    }
+
+    fn triangle_state(log: &EventLog) -> EngineState<'_> {
+        EngineState::with_config(log, &EngineConfig::builder().track_triangles(true).build())
+    }
+
+    #[test]
+    fn triangle_counter_builds_k4_edge_by_edge() {
+        // One edge per day, closing 0, 0, 1, 1, 2 and 4 triangles in turn.
+        let edges = [(0, 1), (1, 2), (0, 2), (0, 3), (1, 3), (2, 3)];
+        let log = triangle_log(4, (0..).zip(edges).map(|(day, (u, v))| (day, u, v)));
+        let mut state = triangle_state(&log);
+        for (day, want) in [0, 0, 1, 1, 2, 4].into_iter().enumerate() {
+            state.advance_through_day(day as Day);
+            assert_eq!(state.triangles(), want, "day {day}");
+        }
+        assert_eq!(state.transitivity(), 1.0, "K4 is fully transitive");
+    }
+
+    #[test]
+    fn triangle_counter_matches_batch_on_random_growth() {
+        use rand::Rng;
+        let mut rng = osn_stats::rng_from_seed(42);
+        let mut seen = std::collections::HashSet::new();
+        let edges = (0..900u64)
+            .map(|step| (step / 120, rng.gen_range(0..120), rng.gen_range(0..120)))
+            .filter(|&(_, u, v): &(u64, u32, u32)| u != v && seen.insert((u.min(v), u.max(v))));
+        let log = triangle_log(120, edges);
+        let mut state = triangle_state(&log);
+        for day in 0..=log.end_day() {
+            state.advance_through_day(day);
+            let g = state.graph().freeze();
+            assert_eq!(state.triangles(), batch_triangles(&g), "day {day}");
+            assert!((state.transitivity() - transitivity(&g)).abs() < 1e-9);
+        }
+        assert!(state.triangles() > 100);
     }
 
     #[test]

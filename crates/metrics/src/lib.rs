@@ -20,8 +20,6 @@
 //!   union-find components, wedge/triangle counters, cached CCDF) and a
 //!   work-stealing parallel day-sweep; byte-identical to the batch path
 //!   and the default under `osn metrics`.
-//! * [`incremental`] — exact streaming triangle count, transitivity and
-//!   assortativity for append-only graphs (O(deg) per edge insert).
 //! * [`rewire`] — degree-preserving double-edge-swap rewiring, the
 //!   configuration-model null for modularity-significance claims.
 //! * [`assortativity`] — degree assortativity as the Pearson correlation
@@ -40,7 +38,6 @@ pub mod components;
 pub mod degree;
 pub mod diameter;
 pub mod engine;
-pub mod incremental;
 pub mod kcore;
 pub mod parallel;
 pub mod paths;
@@ -53,7 +50,6 @@ pub use components::{component_sizes, largest_component};
 pub use degree::{average_degree, degree_ccdf, degree_distribution};
 pub use diameter::effective_diameter;
 pub use engine::{day_sweep, EngineConfig, EngineKind, EngineState};
-pub use incremental::IncrementalMetrics;
 pub use kcore::{core_numbers, core_profile, degeneracy};
 pub use parallel::par_map;
 pub use paths::{

@@ -1,13 +1,13 @@
 //! Trace persistence: configure a custom generator, write the event log
-//! to disk in the plain-text format, read it back, and verify the
-//! round-trip.
+//! to disk in the checksummed v2 text format, read it back, and verify
+//! the round-trip.
 //!
 //! ```sh
 //! cargo run --release --example trace_io
 //! ```
 
 use multiscale_osn::genstream::{DipWindow, GrowthConfig, TraceConfig, TraceGenerator};
-use multiscale_osn::graph::io::{read_log, write_log};
+use multiscale_osn::graph::io::{read_log, write_log_v2};
 
 fn main() {
     // A custom configuration: a single network (no merge), one holiday
@@ -38,7 +38,7 @@ fn main() {
 
     let path = std::env::temp_dir().join("multiscale_osn_trace.events");
     let file = std::fs::File::create(&path).expect("create trace file");
-    write_log(&log, file).expect("write trace");
+    write_log_v2(&log, file).expect("write trace");
     let bytes = std::fs::metadata(&path).expect("stat").len();
     println!(
         "wrote {} ({:.1} KiB)",

@@ -3,7 +3,7 @@
 //! generated trace.
 
 use multiscale_osn::genstream::{TraceConfig, TraceGenerator};
-use multiscale_osn::graph::io::{read_log, write_log};
+use multiscale_osn::graph::io::{read_log, write_log_v2};
 use multiscale_osn::graph::{DailySnapshots, DynamicGraph, NodeId, Replayer, Time};
 use multiscale_osn::metrics::components::component_sizes;
 
@@ -57,7 +57,7 @@ fn degree_sums_are_conserved() {
 fn serialisation_roundtrip_preserves_analysis_inputs() {
     let log = TraceGenerator::new(TraceConfig::tiny()).generate();
     let mut buf = Vec::new();
-    write_log(&log, &mut buf).expect("serialise");
+    write_log_v2(&log, &mut buf).expect("serialise");
     let back = read_log(&buf[..]).expect("parse");
     assert_eq!(back.num_nodes(), log.num_nodes());
     assert_eq!(back.num_edges(), log.num_edges());
