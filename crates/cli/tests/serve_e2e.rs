@@ -199,6 +199,7 @@ fn served_rows_are_byte_identical_to_batch_csv_and_drain_is_clean() {
     let snap = std::fs::read_to_string(&telemetry).unwrap();
     assert!(snap.contains("\"ingest.lines\""), "{snap}");
     assert!(snap.contains("\"http.responses\""), "{snap}");
+    assert!(snap.contains("\"http.writes\""), "{snap}");
     assert!(snap.contains("\"http.latency_us.healthz\""), "{snap}");
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -7,7 +7,8 @@
 //! 1. run Louvain warm-started from the previous snapshot's partition;
 //! 2. keep communities of at least `min_size` nodes (the paper uses 10);
 //! 3. for each current community find its best-overlapping predecessor
-//!    and for each predecessor its best-overlapping successor;
+//!    and for each predecessor its best-overlapping successor (a tie
+//!    goes to the larger community, then to the one listed first);
 //! 4. a *mutual best* pair continues the predecessor's persistent
 //!    identity; everything else generates birth / death / merge / split
 //!    events;
@@ -25,7 +26,7 @@ use crate::partition::Partition;
 use crate::similarity::jaccard_from_overlap;
 use crate::state::TrackerState;
 use osn_graph::{CsrGraph, Day};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// Tracker parameters.
 #[derive(Debug, Clone, Copy)]
@@ -222,15 +223,24 @@ impl CommunityTracker {
         let mut avg_similarity = None;
 
         if let Some(prev) = self.prev.take() {
-            // Overlap counts (cur, prev) -> count.
-            let mut overlaps: HashMap<(u32, u32), u32> = HashMap::new();
+            // Overlap counts (cur, prev, count), in (cur, prev) order.
+            let mut overlaps: Vec<(u32, u32, u32)> = Vec::new();
+            let mut counts = vec![0u32; prev.comms.len()];
+            let mut touched: Vec<u32> = Vec::new();
             for (ci, m) in comms.iter().enumerate() {
                 for &v in m {
                     if let Some(&p) = prev.node_to_comm.get(v as usize) {
                         if p != u32::MAX {
-                            *overlaps.entry((ci as u32, p)).or_insert(0) += 1;
+                            if counts[p as usize] == 0 {
+                                touched.push(p);
+                            }
+                            counts[p as usize] += 1;
                         }
                     }
+                }
+                touched.sort_unstable();
+                for p in touched.drain(..) {
+                    overlaps.push((ci as u32, p, std::mem::take(&mut counts[p as usize])));
                 }
             }
             // Best predecessor per cur; best successor per prev. For the
@@ -238,9 +248,12 @@ impl CommunityTracker {
             // of the predecessor's members that moved into that successor
             // — because the paper only calls a death a "merge" when a
             // community contributes most of its nodes to the destination.
+            // Ties on Jaccard go to the lowest index, i.e. the larger
+            // community, then the one its partition lists first: the
+            // first candidate in (cur, prev) order wins.
             let mut best_prev: Vec<Option<(u32, f64)>> = vec![None; comms.len()];
             let mut best_succ: Vec<Option<(u32, f64, f64)>> = vec![None; prev.comms.len()];
-            for (&(c, p), &ov) in &overlaps {
+            for &(c, p, ov) in &overlaps {
                 let psize = prev.comms[p as usize].members.len();
                 let jac = jaccard_from_overlap(comms[c as usize].len(), psize, ov as usize);
                 let absorbed = ov as f64 / psize as f64;
@@ -295,7 +308,7 @@ impl CommunityTracker {
             }
 
             // Split events: predecessor that is best-prev of ≥2 successors.
-            let mut split_children: HashMap<u32, Vec<u32>> = HashMap::new();
+            let mut split_children: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
             for (c, bp) in best_prev.iter().enumerate() {
                 if let Some((p, _)) = bp {
                     split_children.entry(*p).or_default().push(c as u32);
@@ -719,6 +732,38 @@ mod tests {
         // The dead record has a lifetime.
         let dead = out.records.iter().find(|r| r.death_day.is_some()).unwrap();
         assert_eq!(dead.lifetime(), Some(3));
+    }
+
+    #[test]
+    fn equal_merge_keeps_the_same_identity_every_time() {
+        // Two equal 10-cliques merge: both predecessors tie on Jaccard
+        // with the merged community. Each fresh tracker hashes with
+        // fresh keys, so an order-dependent tie break shows as runs that
+        // disagree.
+        let mut edges = Vec::new();
+        clique_edges(0, 10, &mut edges);
+        clique_edges(10, 10, &mut edges);
+        edges.push((0, 10));
+        let g1 = CsrGraph::from_edges(20, &edges);
+        let mut merged = Vec::new();
+        clique_edges(0, 20, &mut merged);
+        let g2 = CsrGraph::from_edges(20, &merged);
+        let runs: Vec<(Vec<CommunityRecord>, Vec<EvolutionEvent>)> = (0..20)
+            .map(|_| {
+                let mut tracker = CommunityTracker::new(cfg());
+                assert_eq!(tracker.observe(0, &g1).num_tracked, 2);
+                assert_eq!(tracker.observe(3, &g2).num_tracked, 1);
+                let out = tracker.finish();
+                (out.records, out.events)
+            })
+            .collect();
+        for run in &runs[1..] {
+            assert_eq!(run, &runs[0]);
+        }
+        // The first-listed predecessor (identity 0) lives on.
+        let (records, _) = &runs[0];
+        assert_eq!(records[0].death_day, None);
+        assert_eq!(records[1].death_day, Some(3));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Minimal HTTP/1.1 plumbing: buffered keep-alive connections with
-//! deadline-bounded request-head and body reading, and response writing
-//! over a raw `TcpStream`.
+//! deadline-bounded request-head and body reading, and corked response
+//! writing over a raw `TcpStream`.
 //!
 //! Only the sliver of HTTP the daemon needs is implemented — `GET`/`POST`
 //! with a path, the handful of headers the serve and write planes
@@ -21,6 +21,10 @@ use std::time::{Duration, Instant};
 
 /// Hard cap on request-head bytes; beyond this the peer gets a 431.
 pub const MAX_HEAD_BYTES: usize = 8 * 1024;
+
+/// Corked answers go out once this many bytes are pending, whatever
+/// else holds.
+pub const MAX_CORKED_BYTES: usize = 64 * 1024;
 
 /// The parsed request line plus the handful of headers the serve and
 /// write planes consume (all other headers are read, enforced against
@@ -113,10 +117,22 @@ pub enum ConnProgress {
 /// been read but not yet consumed. Keep-alive lives here — after a head
 /// (and body) is consumed, leftover bytes are the start of the next
 /// pipelined request.
+///
+/// Answers are corked: [`Conn::write_response`] encodes into an output
+/// buffer that goes out in one write when no complete next head is
+/// buffered, when the answer closes the connection, or when
+/// [`MAX_CORKED_BYTES`] are pending. Every socket read flushes first,
+/// and so does dropping the connection; callers flush ([`Conn::flush`])
+/// before anything else that blocks, computes or hands the connection
+/// to another thread.
 #[derive(Debug)]
 pub struct Conn {
     stream: TcpStream,
     buf: Vec<u8>,
+    /// Encoded answers not yet written.
+    out: Vec<u8>,
+    /// The `SO_SNDTIMEO` last set on the socket.
+    write_timeout: Option<Duration>,
     /// When the connection was accepted.
     pub accepted: Instant,
     /// Requests fully answered on this connection so far.
@@ -130,12 +146,17 @@ pub struct Conn {
 }
 
 impl Conn {
-    /// Wrap a freshly accepted stream.
+    /// Wrap a freshly accepted stream. Turns Nagle off: answers are
+    /// already coalesced here, and Nagle would only hold a burst's
+    /// second write until the peer's delayed ACK.
     pub fn new(stream: TcpStream) -> Conn {
+        let _ = stream.set_nodelay(true);
         let now = Instant::now();
         Conn {
             stream,
             buf: Vec::new(),
+            out: Vec::new(),
+            write_timeout: None,
             accepted: now,
             served: 0,
             anchor: now,
@@ -204,10 +225,11 @@ impl Conn {
             if remaining.is_zero() {
                 return Err(HeadError::TimedOut);
             }
-            if self
-                .stream
-                .set_read_timeout(Some(remaining.max(Duration::from_millis(1))))
-                .is_err()
+            if self.flush().is_err()
+                || self
+                    .stream
+                    .set_read_timeout(Some(remaining.max(Duration::from_millis(1))))
+                    .is_err()
             {
                 return Err(HeadError::ConnectionLost);
             }
@@ -234,7 +256,14 @@ impl Conn {
     /// as a complete head is buffered, the peer hangs up, or the window
     /// elapses — a worker lingers here briefly after a response before
     /// handing the idle connection to the parker.
+    ///
+    /// The wait is a `poll(2)`, not a socket read timeout: the kernel
+    /// rounds `SO_RCVTIMEO` up to whole timer ticks (4 ms at
+    /// `CONFIG_HZ=250`), while `poll` keeps a 1 ms linger near 1 ms.
     pub fn await_request(&mut self, wait: Duration) -> ConnProgress {
+        if self.flush().is_err() {
+            return ConnProgress::Closed;
+        }
         let deadline = Instant::now() + wait;
         let mut chunk = [0u8; 4096];
         loop {
@@ -245,13 +274,12 @@ impl Conn {
             if remaining.is_zero() {
                 return ConnProgress::Idle;
             }
-            if self
-                .stream
-                .set_read_timeout(Some(remaining.max(Duration::from_micros(100))))
-                .is_err()
-            {
-                return ConnProgress::Closed;
+            match crate::net::wait_readable(&self.stream, remaining) {
+                Ok(true) => {}
+                Ok(false) => continue,
+                Err(_) => return ConnProgress::Closed,
             }
+            // Readable: this read returns at once (bytes, EOF or error).
             match self.stream.read(&mut chunk) {
                 Ok(0) => {
                     return if self.buf.is_empty() {
@@ -263,9 +291,13 @@ impl Conn {
                     };
                 }
                 Ok(n) => self.fill(&chunk[..n]),
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return ConnProgress::Idle,
-                Err(e) if e.kind() == io::ErrorKind::TimedOut => return ConnProgress::Idle,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        io::ErrorKind::WouldBlock
+                            | io::ErrorKind::TimedOut
+                            | io::ErrorKind::Interrupted
+                    ) => {}
                 Err(_) => return ConnProgress::Closed,
             }
         }
@@ -300,10 +332,11 @@ impl Conn {
             if remaining.is_zero() {
                 return Err(BodyError::TimedOut);
             }
-            if self
-                .stream
-                .set_read_timeout(Some(remaining.max(Duration::from_millis(1))))
-                .is_err()
+            if self.flush().is_err()
+                || self
+                    .stream
+                    .set_read_timeout(Some(remaining.max(Duration::from_millis(1))))
+                    .is_err()
             {
                 return Err(BodyError::ConnectionLost);
             }
@@ -320,16 +353,61 @@ impl Conn {
         Ok(body)
     }
 
-    /// Serialise `resp` onto the socket with a write timeout. `close`
-    /// selects the `Connection:` header; the caller drops the `Conn` to
-    /// actually close.
+    /// Encode `resp` into the output buffer, and flush the buffer unless
+    /// the next answer can join it: a complete next head is buffered,
+    /// `close` is false, and fewer than [`MAX_CORKED_BYTES`] are
+    /// pending. Every response carries an explicit `Content-Length` and
+    /// a `Connection:` verdict, so a keep-alive peer can frame the next
+    /// response without sniffing. `close` selects that verdict; the
+    /// caller drops the `Conn` to actually close.
+    ///
+    /// `timeout` becomes the socket's write timeout, set again only when
+    /// a caller passes a different one. A write error surfaces from
+    /// whichever call flushes, and the unwritten answers are dropped
+    /// with it: a peer that hung up is its own problem.
     pub fn write_response(
         &mut self,
         resp: &Response,
         timeout: Duration,
         close: bool,
     ) -> io::Result<()> {
-        write_response_to(&mut self.stream, resp, timeout, close)
+        if self.write_timeout != Some(timeout) {
+            let _ = self.stream.set_write_timeout(Some(timeout));
+            self.write_timeout = Some(timeout);
+        }
+        encode_response(&mut self.out, resp, close);
+        if close || !self.head_ready() || self.out.len() >= MAX_CORKED_BYTES {
+            self.flush()?;
+        }
+        Ok(())
+    }
+
+    /// Write every corked answer in one `write_all`. A no-op when
+    /// nothing is pending; counted in `http.writes` otherwise.
+    pub fn flush(&mut self) -> io::Result<()> {
+        if self.out.is_empty() {
+            return Ok(());
+        }
+        osn_obs::counter!("http.writes").inc();
+        let written = self.stream.write_all(&self.out);
+        self.out.clear();
+        written
+    }
+
+    /// [`Conn::flush`], then give back the output buffer's memory: a
+    /// connection about to sit idle keeps no output capacity.
+    pub fn flush_and_release(&mut self) -> io::Result<()> {
+        let flushed = self.flush();
+        self.out = Vec::new();
+        flushed
+    }
+}
+
+impl Drop for Conn {
+    /// Corked answers still reach the peer when a connection is let go
+    /// without an explicit flush (drain, an unwinding stage).
+    fn drop(&mut self) {
+        let _ = self.flush();
     }
 }
 
@@ -560,45 +638,48 @@ fn reason_phrase(status: u16) -> &'static str {
     }
 }
 
-/// Serialise `resp` onto `stream` with a write timeout. Every response
-/// carries an explicit `Content-Length` and a `Connection:` verdict, so
-/// a keep-alive peer can frame the next response without sniffing.
-/// Write errors are returned but callers generally ignore them beyond
-/// closing: a peer that hung up before its response is its own problem.
-pub fn write_response_to(
-    stream: &mut TcpStream,
-    resp: &Response,
-    timeout: Duration,
-    close: bool,
-) -> io::Result<()> {
-    let _ = stream.set_write_timeout(Some(timeout));
-    let mut head = format!(
-        "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n",
-        resp.status,
-        reason_phrase(resp.status),
-        resp.content_type,
-        resp.body.len(),
-        if close { "close" } else { "keep-alive" },
-    );
+/// Append `resp`'s status line, headers and body to `out`.
+fn encode_response(out: &mut Vec<u8>, resp: &Response, close: bool) {
+    let body = resp.body.as_slice();
+    out.extend_from_slice(b"HTTP/1.1 ");
+    push_decimal(out, u64::from(resp.status));
+    out.push(b' ');
+    out.extend_from_slice(reason_phrase(resp.status).as_bytes());
+    out.extend_from_slice(b"\r\nContent-Type: ");
+    out.extend_from_slice(resp.content_type.as_bytes());
+    out.extend_from_slice(b"\r\nContent-Length: ");
+    push_decimal(out, body.len() as u64);
+    out.extend_from_slice(if close {
+        b"\r\nConnection: close\r\n".as_slice()
+    } else {
+        b"\r\nConnection: keep-alive\r\n".as_slice()
+    });
     if let Some(encoding) = resp.content_encoding {
-        head.push_str(&format!("Content-Encoding: {encoding}\r\n"));
+        out.extend_from_slice(b"Content-Encoding: ");
+        out.extend_from_slice(encoding.as_bytes());
+        out.extend_from_slice(b"\r\n");
     }
     if let Some(secs) = resp.retry_after {
-        head.push_str(&format!("Retry-After: {secs}\r\n"));
+        out.extend_from_slice(b"Retry-After: ");
+        push_decimal(out, u64::from(secs));
+        out.extend_from_slice(b"\r\n");
     }
-    head.push_str("\r\n");
-    // One write for head + small bodies halves the syscalls on the hot
-    // path; large bodies go out as a second write to skip the copy.
-    let body = resp.body.as_slice();
-    if body.len() <= 16 * 1024 {
-        let mut frame = head.into_bytes();
-        frame.extend_from_slice(body);
-        stream.write_all(&frame)?;
-    } else {
-        stream.write_all(head.as_bytes())?;
-        stream.write_all(body)?;
+    out.extend_from_slice(b"\r\n");
+    out.extend_from_slice(body);
+}
+
+fn push_decimal(out: &mut Vec<u8>, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut i = digits.len();
+    loop {
+        i -= 1;
+        digits[i] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
     }
-    stream.flush()
+    out.extend_from_slice(&digits[i..]);
 }
 
 /// Pre-serialised 503 for the accept path: when even the triage queue is
@@ -697,6 +778,110 @@ mod tests {
         assert_eq!(HeadError::Malformed.as_str(), "malformed");
         assert_eq!(HeadError::ConnectionLost.as_str(), "connection-lost");
         assert_eq!(HeadError::Closed.as_str(), "closed");
+    }
+
+    /// A server-side `Conn` and the client end of its loopback socket.
+    fn conn_pair() -> (Conn, TcpStream) {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (server_side, _) = listener.accept().unwrap();
+        (Conn::new(server_side), client)
+    }
+
+    /// Bytes the peer can read without waiting.
+    fn drain_ready(client: &mut TcpStream) -> Vec<u8> {
+        client.set_nonblocking(true).unwrap();
+        let mut got = Vec::new();
+        let mut chunk = [0u8; 4096];
+        loop {
+            match client.read(&mut chunk) {
+                Ok(0) => break,
+                Ok(n) => got.extend_from_slice(&chunk[..n]),
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) => panic!("read: {e}"),
+            }
+        }
+        client.set_nonblocking(false).unwrap();
+        got
+    }
+
+    #[test]
+    fn accepted_sockets_have_nagle_off() {
+        let (conn, _client) = conn_pair();
+        assert!(conn.stream().nodelay().unwrap());
+    }
+
+    #[test]
+    fn one_millisecond_linger_lasts_about_one_millisecond() {
+        let (mut conn, _client) = conn_pair();
+        let mut waits: Vec<Duration> = (0..10)
+            .map(|_| {
+                let start = Instant::now();
+                assert_eq!(
+                    conn.await_request(Duration::from_millis(1)),
+                    ConnProgress::Idle
+                );
+                start.elapsed()
+            })
+            .collect();
+        waits.sort();
+        assert!(waits[5] < Duration::from_millis(3), "{waits:?}");
+    }
+
+    #[test]
+    fn answers_cork_until_no_next_head_is_buffered() {
+        let (mut conn, mut client) = conn_pair();
+        let timeout = Duration::from_secs(5);
+        client
+            .write_all(b"GET /a HTTP/1.1\r\n\r\nGET /b HTTP/1.1\r\n\r\n")
+            .unwrap();
+        let ok = Response::text(200, "ok\n");
+        let a = conn.read_head(timeout).unwrap();
+        assert_eq!(a.path, "/a");
+        // The next head is buffered: the answer waits for it.
+        conn.write_response(&ok, timeout, false).unwrap();
+        assert!(drain_ready(&mut client).is_empty());
+        let b = conn.read_head(timeout).unwrap();
+        assert_eq!(b.path, "/b");
+        // Nothing left buffered: both answers go out together.
+        conn.write_response(&ok, timeout, false).unwrap();
+        let one = b"HTTP/1.1 200 OK\r\nContent-Type: text/plain; charset=utf-8\r\n\
+                    Content-Length: 3\r\nConnection: keep-alive\r\n\r\nok\n";
+        let mut got = Vec::new();
+        while got.len() < 2 * one.len() {
+            let mut chunk = [0u8; 4096];
+            let n = client.read(&mut chunk).unwrap();
+            assert!(n > 0, "early EOF");
+            got.extend_from_slice(&chunk[..n]);
+        }
+        assert_eq!(got, [one.as_slice(), one.as_slice()].concat());
+
+        // With further heads buffered, a closing answer still goes out
+        // at once, and so does a full cork.
+        client
+            .write_all(b"GET /c HTTP/1.1\r\n\r\nGET /d HTTP/1.1\r\n\r\nGET /e HTTP/1.1\r\n\r\n")
+            .unwrap();
+        conn.read_head(timeout).unwrap();
+        conn.write_response(&Response::shed("x"), timeout, true)
+            .unwrap();
+        let shed = b"HTTP/1.1 503 Service Unavailable\r\n\
+                     Content-Type: text/plain; charset=utf-8\r\nContent-Length: 14\r\n\
+                     Connection: close\r\nRetry-After: 1\r\n\r\noverloaded: x\n";
+        let mut got = vec![0u8; shed.len()];
+        client.read_exact(&mut got).unwrap();
+        assert_eq!(got, shed.as_slice());
+        conn.read_head(timeout).unwrap();
+        assert!(conn.head_ready());
+        let big = "x".repeat(MAX_CORKED_BYTES);
+        conn.write_response(&Response::csv(big.clone()), timeout, false)
+            .unwrap();
+        let mut got = Vec::new();
+        while !got.ends_with(big.as_bytes()) {
+            let mut chunk = [0u8; 65536];
+            let n = client.read(&mut chunk).unwrap();
+            assert!(n > 0, "early EOF");
+            got.extend_from_slice(&chunk[..n]);
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Raw-libc socket plumbing for the sharded accept path: `SO_REUSEPORT`
-//! listener binding and `poll(2)` readiness sweeps for parked keep-alive
-//! connections.
+//! listener binding, and `poll(2)` readiness waits for parked keep-alive
+//! connections and a worker's linger.
 //!
 //! Declared by hand in the same style as the CLI's signal FFI — the
 //! workspace takes no libc crate dependency, and the daemon only needs
@@ -15,10 +15,12 @@ use std::io;
 use std::net::{SocketAddr, TcpListener};
 
 #[cfg(unix)]
-pub use unix::{bind_reuseport, poll_readable, POLL_SUPPORTED, REUSEPORT_SUPPORTED};
+pub use unix::{bind_reuseport, poll_readable, wait_readable, POLL_SUPPORTED, REUSEPORT_SUPPORTED};
 
 #[cfg(not(unix))]
-pub use fallback::{bind_reuseport, poll_readable, POLL_SUPPORTED, REUSEPORT_SUPPORTED};
+pub use fallback::{
+    bind_reuseport, poll_readable, wait_readable, POLL_SUPPORTED, REUSEPORT_SUPPORTED,
+};
 
 /// How the shard listeners were bound.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -74,8 +76,9 @@ fn try_bind_reuseport_set(addr: &str, shards: usize) -> io::Result<(Vec<TcpListe
 #[cfg(unix)]
 mod unix {
     use std::io;
-    use std::net::{SocketAddr, TcpListener};
-    use std::os::fd::{FromRawFd, RawFd};
+    use std::net::{SocketAddr, TcpListener, TcpStream};
+    use std::os::fd::{AsRawFd, FromRawFd, RawFd};
+    use std::time::Duration;
 
     /// `SO_REUSEPORT` binds work here.
     pub const REUSEPORT_SUPPORTED: bool = true;
@@ -230,12 +233,21 @@ mod unix {
             .map(|(i, _)| i)
             .collect())
     }
+
+    /// Wait up to `timeout`, rounded up to whole milliseconds, for
+    /// `stream` to turn readable (bytes, EOF or an error pending).
+    /// `false` when the wait ran out or a signal cut it short.
+    pub fn wait_readable(stream: &TcpStream, timeout: Duration) -> io::Result<bool> {
+        let ms = timeout.as_micros().div_ceil(1000).min(i32::MAX as u128) as i32;
+        Ok(!poll_readable(&[stream.as_raw_fd()], ms)?.is_empty())
+    }
 }
 
 #[cfg(not(unix))]
 mod fallback {
     use std::io;
-    use std::net::{SocketAddr, TcpListener};
+    use std::net::{SocketAddr, TcpListener, TcpStream};
+    use std::time::Duration;
 
     pub const REUSEPORT_SUPPORTED: bool = false;
     pub const POLL_SUPPORTED: bool = false;
@@ -253,6 +265,24 @@ mod fallback {
             io::ErrorKind::Unsupported,
             "poll unavailable",
         ))
+    }
+
+    /// A one-byte peek under a read timeout, which the platform may
+    /// round up.
+    pub fn wait_readable(stream: &TcpStream, timeout: Duration) -> io::Result<bool> {
+        stream.set_read_timeout(Some(timeout))?;
+        match stream.peek(&mut [0u8; 1]) {
+            Ok(_) => Ok(true),
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                ) =>
+            {
+                Ok(false)
+            }
+            Err(e) => Err(e),
+        }
     }
 }
 

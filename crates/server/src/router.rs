@@ -211,7 +211,12 @@ pub fn api_markdown() -> String {
          answers inline, before the bounded work queue, so those endpoints stay \
          responsive while the server sheds load.\n\n\
          Connections are HTTP/1.1 keep-alive (pipelining included; \
-         `Connection: close` honored). The worker-plane day endpoints and \
+         `Connection: close` honored). Answers to pipelined requests are \
+         corked: they leave in one socket write once no complete request \
+         is buffered, before a cache miss or a `POST /v1/events` body is \
+         waited on, and at 64 KiB; sockets run with `TCP_NODELAY`. An idle \
+         kept-alive connection is parked after 1 ms and closed after \
+         `--keepalive-timeout`. The worker-plane day endpoints and \
          `/v1/days` additionally honor `Accept-Encoding: gzip`, answering \
          `Content-Encoding: gzip` whenever the precompressed body is smaller \
          than the plain one (tiny bodies always come back identity).\n\n\

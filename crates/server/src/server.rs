@@ -24,6 +24,7 @@
 //!   - keep-alive continuation: pipelined requests on the same
 //!     connection are answered in arrival order without re-queueing,
 //!     up to a fairness burst, then the connection is recycled
+//!   - answers are corked: one socket write per burst (`http::Conn`)
 //!        │ idle keep-alive connections
 //!        ▼
 //!   parker (1 thread per shard): poll(2) readiness sweep, wakes
@@ -794,9 +795,11 @@ fn fail_head(shared: &Shared, shard: usize, flow: &mut Flow, err: HeadError, sin
 }
 
 /// Serve one cacheable data route, consulting the hot-day cache when a
-/// consistent (generation-stable) snapshot view is available.
+/// consistent (generation-stable) snapshot view is available. A miss
+/// flushes `conn`'s corked answers before the handler computes.
 fn handle_data(
     shared: &Shared,
+    conn: &mut Conn,
     head: &RequestHead,
     route: Route,
     policy: &HandlerPolicy,
@@ -837,6 +840,7 @@ fn handle_data(
             };
         }
     }
+    let _ = conn.flush();
     let mut handled = handle(&query, route, policy);
     if handled.response.status == 200 {
         if let Some((cache, generation)) = cache {
@@ -916,6 +920,9 @@ fn respond(
             ),
             None => match &shared.write {
                 Some(write) => {
+                    // The body read and the group-commit wait block:
+                    // corked answers go out first.
+                    let _ = flow.conn.flush();
                     let handled =
                         write.handle_post(&mut flow.conn, head, started + shared.request_timeout);
                     // Only a 2xx proves the body was consumed in full.
@@ -952,7 +959,7 @@ fn respond(
             Some(budget) => {
                 policy.deadline = Some(budget);
                 (
-                    handle_data(shared, head, route, policy),
+                    handle_data(shared, &mut flow.conn, head, route, policy),
                     Disposition::KeepAlive,
                 )
             }
@@ -1006,8 +1013,9 @@ fn continue_conn(
     let mut burst: u64 = 0;
     loop {
         if shared.shutting_down() {
-            // Drain: the current response is out; close instead of
-            // waiting for a next request that may never come.
+            // Drain: close instead of waiting for a next request that
+            // may never come (dropping the connection flushes what the
+            // burst corked).
             return;
         }
         burst += 1;
@@ -1048,11 +1056,14 @@ fn continue_conn(
 }
 
 /// Hand a kept-alive connection to its shard parker (never with
-/// buffered bytes — the parker only wakes on *new* socket readability).
-/// A failed send means the parker is draining; the connection closes.
-fn park(flow: Flow, chans: &ShardChannels) {
+/// buffered bytes — the parker only wakes on *new* socket readability)
+/// once its answers are out. A failed flush or send (the parker is
+/// draining) closes the connection.
+fn park(mut flow: Flow, chans: &ShardChannels) {
     debug_assert!(!flow.conn.has_buffered());
-    let _ = chans.park_tx.send(flow);
+    if flow.conn.flush_and_release().is_ok() {
+        let _ = chans.park_tx.send(flow);
+    }
 }
 
 /// Re-queue a connection with a pipelined request already buffered
@@ -1062,6 +1073,7 @@ fn recycle_or_park(shared: &Shared, shard: usize, mut flow: Flow, chans: &ShardC
         park(flow, chans);
         return;
     }
+    let _ = flow.conn.flush();
     flow.conn.rearm();
     // add-before-send: see the acceptor's gauge ordering note.
     shared.shards[shard].triage_depth.add(1);
@@ -1086,6 +1098,8 @@ fn enqueue_work(
     started: Instant,
     chans: &ShardChannels,
 ) {
+    // The request may wait in the queue: corked answers go out first.
+    let _ = flow.conn.flush();
     // Write admission runs before the request can hold a queue slot or
     // a worker: auth, rate budget, and the fsync/lag valves are all
     // cheap header-only checks, and rejecting here keeps a write flood
