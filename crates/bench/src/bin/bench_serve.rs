@@ -20,7 +20,7 @@
 //! `Accept-Encoding: gzip` to every request and decompresses (and
 //! validates) each gzip-encoded answer client-side, so the measured
 //! latency includes the decode the real consumer would pay. `--shards`
-//! sets the server's acceptor shard count (0 = auto), and
+//! sets the server's shard count, one `poll(2)` loop each (0 = auto), and
 //! `--telemetry-out FILE` snapshots the whole osn-obs registry —
 //! including the per-shard `http.shard.*` queue/shed series — after
 //! the flood, for CI to archive next to the bench JSON.

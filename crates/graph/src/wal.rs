@@ -309,7 +309,8 @@ impl ScannedChunk {
 struct StreamScan {
     /// Verified prefix length, excluding any footer line.
     committed: u64,
-    /// Total file length.
+    /// Bytes the scan read: the file's length, or more than its length
+    /// at open when a writer appended during the scan.
     file_len: u64,
     /// The verified payload's line count and CRC.
     totals: Totals,
@@ -346,12 +347,8 @@ fn scan_stream(path: &Path, keep_payload: bool) -> Result<StreamScan, WalError> 
         line,
         reason,
     };
-    let file = File::open(path)?;
-    let mut scan = StreamScan {
-        file_len: file.metadata()?.len(),
-        ..StreamScan::default()
-    };
-    let mut lines = Lines::new(file);
+    let mut scan = StreamScan::default();
+    let mut lines = Lines::new(File::open(path)?);
     let mut framer = Framer::default();
     let (mut pos, mut lineno, mut started) = (0u64, 0usize, false);
     let mut marker = None;
@@ -444,6 +441,7 @@ fn scan_stream(path: &Path, keep_payload: bool) -> Result<StreamScan, WalError> 
         };
         scan.failure = Some((lineno, failure));
     }
+    scan.file_len = pos;
     scan.totals = framer.totals().clone();
     Ok(scan)
 }

@@ -70,8 +70,8 @@ pub struct ServerStats {
     pub client_error: AtomicU64,
     /// Responses with 5xx status other than load-shed 503s.
     pub server_error: AtomicU64,
-    /// Load-shed 503s (accept overflow, triage overflow, queue overflow,
-    /// deadline exceeded while queued).
+    /// Load-shed 503s (accept overflow, queue overflow, deadline
+    /// exceeded while queued).
     pub shed: AtomicU64,
     /// Requests whose handler panicked (also counted in `server_error`).
     pub panicked: AtomicU64,

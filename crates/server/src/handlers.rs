@@ -72,7 +72,7 @@ fn failure_response(failure: &TaskFailure) -> Handled {
 type Lookup = fn(&SnapshotQuery, u32) -> Option<String>;
 
 /// Execute a work-queue route. Fast-path routes (health probes, rejects)
-/// never reach this function — triage answers them inline.
+/// never reach this function — the shard loop answers them inline.
 pub fn handle(query: &SnapshotQuery, route: Route, policy: &HandlerPolicy) -> Handled {
     let (label, day, lookup): (&str, u64, Lookup) = match route {
         Route::Days => {

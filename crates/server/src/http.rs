@@ -26,6 +26,10 @@ pub const MAX_HEAD_BYTES: usize = 8 * 1024;
 /// else holds.
 pub const MAX_CORKED_BYTES: usize = 64 * 1024;
 
+/// A nonblocking [`Conn::read_ready`] stops reading once this many
+/// request bytes are buffered.
+const MAX_READ_AHEAD: usize = 64 * 1024;
+
 /// The parsed request line plus the handful of headers the serve and
 /// write planes consume (all other headers are read, enforced against
 /// the byte budget, and discarded).
@@ -121,10 +125,11 @@ pub enum ConnProgress {
 /// Answers are corked: [`Conn::write_response`] encodes into an output
 /// buffer that goes out in one write when no complete next head is
 /// buffered, when the answer closes the connection, or when
-/// [`MAX_CORKED_BYTES`] are pending. Every socket read flushes first,
-/// and so does dropping the connection; callers flush ([`Conn::flush`])
-/// before anything else that blocks, computes or hands the connection
-/// to another thread.
+/// [`MAX_CORKED_BYTES`] are pending. Every blocking socket read flushes
+/// first, and so does dropping the connection; callers flush ([`Conn::flush`])
+/// before anything else that blocks or computes. On a nonblocking socket
+/// ([`Conn::set_nonblocking`]) a flush writes what the socket takes and
+/// keeps the rest for the next one.
 #[derive(Debug)]
 pub struct Conn {
     stream: TcpStream,
@@ -133,6 +138,8 @@ pub struct Conn {
     out: Vec<u8>,
     /// The `SO_SNDTIMEO` last set on the socket.
     write_timeout: Option<Duration>,
+    /// The socket is in nonblocking mode.
+    nonblocking: bool,
     /// When the connection was accepted.
     pub accepted: Instant,
     /// Requests fully answered on this connection so far.
@@ -157,15 +164,23 @@ impl Conn {
             buf: Vec::new(),
             out: Vec::new(),
             write_timeout: None,
+            nonblocking: false,
             accepted: now,
             served: 0,
             anchor: now,
         }
     }
 
-    /// The underlying socket (peer address, raw fd for the parker).
+    /// The underlying socket (peer address, raw fd for a poll set).
     pub fn stream(&self) -> &TcpStream {
         &self.stream
+    }
+
+    /// Switch the socket between blocking and nonblocking mode.
+    pub fn set_nonblocking(&mut self, nonblocking: bool) -> io::Result<()> {
+        self.stream.set_nonblocking(nonblocking)?;
+        self.nonblocking = nonblocking;
+        Ok(())
     }
 
     /// True when `read_head` can make a verdict without blocking: a
@@ -179,11 +194,15 @@ impl Conn {
         !self.buf.is_empty()
     }
 
-    /// Re-open the request window (e.g. when a parked connection wakes
-    /// up with fresh bytes pending, or after a fairness recycle): the
-    /// next head gets a full `header_timeout` from now.
-    pub fn rearm(&mut self) {
-        self.anchor = Instant::now();
+    /// Encoded answers the socket has not taken yet.
+    pub fn unwritten(&self) -> usize {
+        self.out.len()
+    }
+
+    /// When the current request's window opened; its head is due within
+    /// `header_timeout` of this.
+    pub fn anchor(&self) -> Instant {
+        self.anchor
     }
 
     /// Append freshly read bytes, re-arming the anchor when they open a
@@ -193,6 +212,23 @@ impl Conn {
             self.anchor = Instant::now();
         }
         self.buf.extend_from_slice(bytes);
+    }
+
+    /// Read what a nonblocking socket holds until it would block, the
+    /// peer closes, or 64 KiB of request bytes are buffered. `Ok(true)`
+    /// means the peer closed its side.
+    pub fn read_ready(&mut self) -> io::Result<bool> {
+        let mut chunk = [0u8; 16 * 1024];
+        while self.buf.len() < MAX_READ_AHEAD {
+            match self.stream.read(&mut chunk) {
+                Ok(0) => return Ok(true),
+                Ok(n) => self.fill(&chunk[..n]),
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(false)
     }
 
     /// Read one request head, giving up at `anchor + header_timeout`.
@@ -255,7 +291,7 @@ impl Conn {
     /// Wait up to `wait` for the next pipelined request. Returns as soon
     /// as a complete head is buffered, the peer hangs up, or the window
     /// elapses — a worker lingers here briefly after a response before
-    /// handing the idle connection to the parker.
+    /// handing the connection back to its shard loop.
     ///
     /// The wait is a `poll(2)`, not a socket read timeout: the kernel
     /// rounds `SO_RCVTIMEO` up to whole timer ticks (4 ms at
@@ -364,7 +400,9 @@ impl Conn {
     /// `timeout` becomes the socket's write timeout, set again only when
     /// a caller passes a different one. A write error surfaces from
     /// whichever call flushes, and the unwritten answers are dropped
-    /// with it: a peer that hung up is its own problem.
+    /// with it: a peer that hung up is its own problem. On a nonblocking
+    /// socket a full send buffer is no error: the rest waits in
+    /// [`Conn::unwritten`].
     pub fn write_response(
         &mut self,
         resp: &Response,
@@ -382,24 +420,35 @@ impl Conn {
         Ok(())
     }
 
-    /// Write every corked answer in one `write_all`. A no-op when
-    /// nothing is pending; counted in `http.writes` otherwise.
+    /// Write every corked answer, in one `write` when the socket takes
+    /// it all. A no-op when nothing is pending; counted in
+    /// `http.writes` otherwise. A nonblocking socket that would block
+    /// keeps what it did not take for the next flush.
     pub fn flush(&mut self) -> io::Result<()> {
         if self.out.is_empty() {
             return Ok(());
         }
         osn_obs::counter!("http.writes").inc();
-        let written = self.stream.write_all(&self.out);
+        let mut done = 0;
+        let written = loop {
+            match self.stream.write(&self.out[done..]) {
+                Ok(0) => break Err(io::ErrorKind::WriteZero.into()),
+                Ok(n) => {
+                    done += n;
+                    if done == self.out.len() {
+                        break Ok(());
+                    }
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock && self.nonblocking => {
+                    self.out.drain(..done);
+                    return Ok(());
+                }
+                Err(e) => break Err(e),
+            }
+        };
         self.out.clear();
         written
-    }
-
-    /// [`Conn::flush`], then give back the output buffer's memory: a
-    /// connection about to sit idle keeps no output capacity.
-    pub fn flush_and_release(&mut self) -> io::Result<()> {
-        let flushed = self.flush();
-        self.out = Vec::new();
-        flushed
     }
 }
 
@@ -682,8 +731,9 @@ fn push_decimal(out: &mut Vec<u8>, mut n: u64) {
     out.extend_from_slice(&digits[i..]);
 }
 
-/// Pre-serialised 503 for the accept path: when even the triage queue is
-/// full the acceptor writes this without reading a single request byte.
+/// Pre-serialised 503 for the accept path: while a shard loop already
+/// holds its limit of connections awaiting a first head, it writes this
+/// to a new one without reading a single request byte.
 pub const RAW_SHED_503: &[u8] = b"HTTP/1.1 503 Service Unavailable\r\n\
 Content-Type: text/plain; charset=utf-8\r\nContent-Length: 19\r\n\
 Retry-After: 1\r\nConnection: close\r\n\r\noverloaded: accept\n";

@@ -7,16 +7,16 @@
 //!
 //! | endpoint                  | body | plane |
 //! |---------------------------|------|-------|
-//! | `GET /healthz`            | `ok` | triage (never queued) |
-//! | `GET /readyz`             | JSON trace identity | triage |
-//! | `GET /v1/meta`            | JSON trace identity + engine kind + version | triage |
-//! | `GET /v1/stats`           | JSON server counters + telemetry | triage |
-//! | `GET /v1/head`            | JSON live-ingest head state (published day, lag, health) | triage |
-//! | `GET /metrics`            | Prometheus text exposition | triage |
-//! | `GET /v1/days`            | JSON day lists | workers |
-//! | `GET /v1/metrics/{day}`   | CSV header + row, byte-identical to `osn metrics` | workers |
-//! | `GET /v1/communities/{day}` | CSV header + row, byte-identical to `osn communities` | workers |
-//! | `POST /v1/events`         | JSON append ack (WAL seq, dedup flag) | workers |
+//! | `GET /healthz`            | `ok` | shard loop (never queued) |
+//! | `GET /readyz`             | JSON trace identity | shard loop |
+//! | `GET /v1/meta`            | JSON trace identity + engine kind + version | shard loop |
+//! | `GET /v1/stats`           | JSON server counters + telemetry | shard loop |
+//! | `GET /v1/head`            | JSON live-ingest head state (published day, lag, health) | shard loop |
+//! | `GET /metrics`            | Prometheus text exposition | shard loop |
+//! | `GET /v1/days`            | JSON day lists | shard loop on a cache hit, else workers |
+//! | `GET /v1/metrics/{day}`   | CSV header + row, byte-identical to `osn metrics` | shard loop on a cache hit, else workers |
+//! | `GET /v1/communities/{day}` | CSV header + row, byte-identical to `osn communities` | shard loop on a cache hit, else workers |
+//! | `POST /v1/events`         | JSON append ack (WAL seq, dedup flag) | workers (admission in the shard loop) |
 //!
 //! `POST /v1/events` is the durable write plane (`serve
 //! --accept-writes`): bearer-token auth, CSV or JSON batches, per-batch
@@ -30,9 +30,13 @@
 //!
 //! Robustness is the design center, not throughput:
 //!
-//! * **Bounded everywhere** — accept, triage, and work queues all have
-//!   hard bounds; overflow is answered with an immediate `503` +
-//!   `Retry-After`, never an unbounded backlog.
+//! * **Bounded everywhere** — each shard loop holds at most 128
+//!   connections awaiting a first head and each work queue has a hard
+//!   bound; overflow is answered with an immediate `503` +
+//!   `Retry-After`, never an unbounded backlog. One `poll(2)` loop per
+//!   shard drives every connection no worker holds with nonblocking
+//!   reads and writes, so a peer that sends nothing or never reads
+//!   delays nobody else.
 //! * **Hostile-client proof** — request heads are read under a deadline
 //!   counted from accept (slow-loris), capped in size (header floods),
 //!   and a half-closed client still gets its response.

@@ -1,59 +1,52 @@
-//! Raw-libc socket plumbing for the sharded accept path: `SO_REUSEPORT`
-//! listener binding, and `poll(2)` readiness waits for parked keep-alive
-//! connections and a worker's linger.
+//! Raw-libc socket plumbing for the shard loops: `SO_REUSEPORT` listener
+//! binding, and `poll(2)` readiness waits for a loop's sockets and a
+//! worker's linger.
 //!
 //! Declared by hand in the same style as the CLI's signal FFI — the
 //! workspace takes no libc crate dependency, and the daemon only needs
 //! two calls beyond what `std::net` offers: a socket option `std` does
-//! not expose, and a multi-fd readiness wait. Platforms where
-//! `SO_REUSEPORT` is unavailable fall back to a single acceptor
-//! dispatching round-robin across shards ([`bind_shard_listeners`]
-//! reports which mode it got), and the parker falls back to a per-socket
-//! non-blocking sweep.
+//! not expose, and a multi-fd readiness wait. Where `SO_REUSEPORT` is
+//! unavailable every shard polls a clone of one shared listener
+//! ([`bind_shard_listeners`]). Off unix, `PollSet::wait` naps for at
+//! most 1 ms and reports every socket ready, and a `Waker` does
+//! nothing.
 
 use std::io;
 use std::net::{SocketAddr, TcpListener};
 
 #[cfg(unix)]
-pub use unix::{bind_reuseport, poll_readable, wait_readable, POLL_SUPPORTED, REUSEPORT_SUPPORTED};
+pub use unix::{bind_reuseport, poll_readable, wait_readable, wake_pair, PollSet, WakeRx, Waker};
 
 #[cfg(not(unix))]
-pub use fallback::{
-    bind_reuseport, poll_readable, wait_readable, POLL_SUPPORTED, REUSEPORT_SUPPORTED,
-};
+pub use fallback::{bind_reuseport, wait_readable, wake_pair, PollSet, WakeRx, Waker};
 
-/// How the shard listeners were bound.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AcceptMode {
-    /// One `SO_REUSEPORT` listener per shard — the kernel spreads
-    /// connections across acceptors.
-    ReusePort,
-    /// One shared listener; a single acceptor dispatches round-robin to
-    /// the per-shard queues.
-    SingleDispatch,
-}
-
-/// Bind one listener per shard on `addr` via `SO_REUSEPORT`, falling
-/// back to a single shared listener where the option is unsupported.
-/// Returns the listeners (all nonblocking), the resolved local address
-/// (port 0 is resolved by the first bind and reused by the rest), and
-/// the mode actually obtained.
+/// Bind one listener per shard on `addr` via `SO_REUSEPORT`, so the
+/// kernel spreads connections across the shards. Where that bind fails,
+/// every shard gets a clone of one shared listener and takes whichever
+/// connection it accepts first. Returns the listeners (all nonblocking)
+/// and the resolved local address (port 0 is resolved by the first bind
+/// and reused by the rest).
 pub fn bind_shard_listeners(
     addr: &str,
     shards: usize,
-) -> io::Result<(Vec<TcpListener>, SocketAddr, AcceptMode)> {
+) -> io::Result<(Vec<TcpListener>, SocketAddr)> {
     let shards = shards.max(1);
-    if shards > 1 && REUSEPORT_SUPPORTED {
-        // On failure, fall through: v6-mapped or exotic addresses take
-        // the dispatch path rather than failing startup.
-        if let Ok((listeners, local)) = try_bind_reuseport_set(addr, shards) {
-            return Ok((listeners, local, AcceptMode::ReusePort));
+    if shards > 1 {
+        // On failure, fall through: v6-mapped or exotic addresses share
+        // one listener rather than failing startup.
+        if let Ok(bound) = try_bind_reuseport_set(addr, shards) {
+            return Ok(bound);
         }
     }
     let listener = TcpListener::bind(addr)?;
     listener.set_nonblocking(true)?;
     let local = listener.local_addr()?;
-    Ok((vec![listener], local, AcceptMode::SingleDispatch))
+    let mut listeners = Vec::with_capacity(shards);
+    for _ in 1..shards {
+        listeners.push(listener.try_clone()?);
+    }
+    listeners.push(listener);
+    Ok((listeners, local))
 }
 
 fn try_bind_reuseport_set(addr: &str, shards: usize) -> io::Result<(Vec<TcpListener>, SocketAddr)> {
@@ -75,15 +68,12 @@ fn try_bind_reuseport_set(addr: &str, shards: usize) -> io::Result<(Vec<TcpListe
 
 #[cfg(unix)]
 mod unix {
-    use std::io;
+    use std::io::{self, Read, Write};
     use std::net::{SocketAddr, TcpListener, TcpStream};
     use std::os::fd::{AsRawFd, FromRawFd, RawFd};
+    use std::os::unix::net::UnixStream;
+    use std::sync::Arc;
     use std::time::Duration;
-
-    /// `SO_REUSEPORT` binds work here.
-    pub const REUSEPORT_SUPPORTED: bool = true;
-    /// Multi-fd `poll(2)` works here.
-    pub const POLL_SUPPORTED: bool = true;
 
     // Linux x86-64/aarch64 values; BSDs differ on the option numbers but
     // the workspace only targets Linux in CI, and the caller falls back
@@ -97,11 +87,13 @@ mod unix {
     const SO_REUSEPORT: i32 = 15;
     const SOMAXCONN: i32 = 128;
 
-    pub const POLLIN: i16 = 0x001;
+    const POLLIN: i16 = 0x001;
+    const POLLOUT: i16 = 0x004;
     const POLLERR: i16 = 0x008;
     const POLLHUP: i16 = 0x010;
 
     #[repr(C)]
+    #[derive(Debug)]
     struct PollFd {
         fd: i32,
         events: i16,
@@ -203,35 +195,67 @@ mod unix {
         Ok(unsafe { TcpListener::from_raw_fd(fd) })
     }
 
-    /// One `poll(2)` sweep over `fds` asking for readability. Returns
-    /// the indices that are readable, hung up, or errored — everything a
-    /// parked connection should be woken for.
-    pub fn poll_readable(fds: &[RawFd], timeout_ms: i32) -> io::Result<Vec<usize>> {
-        if fds.is_empty() {
-            return Ok(Vec::new());
+    /// The sockets one `poll(2)` call waits on, kept from turn to turn.
+    /// Entries are addressed by the order they were pushed in.
+    #[derive(Debug, Default)]
+    pub struct PollSet {
+        fds: Vec<PollFd>,
+    }
+
+    impl PollSet {
+        /// Forget every entry, keeping the allocation.
+        pub fn clear(&mut self) {
+            self.fds.clear();
         }
-        let mut pollfds: Vec<PollFd> = fds
-            .iter()
-            .map(|&fd| PollFd {
-                fd,
-                events: POLLIN,
+
+        /// Add `socket`: wait for bytes or an EOF when `read` is set,
+        /// and for room to write when `write` is. An error or a hangup
+        /// ends the wait either way.
+        pub fn push(&mut self, socket: &impl AsRawFd, read: bool, write: bool) {
+            let events = if read { POLLIN } else { 0 } | if write { POLLOUT } else { 0 };
+            self.fds.push(PollFd {
+                fd: socket.as_raw_fd(),
+                events,
                 revents: 0,
-            })
-            .collect();
-        let rc = unsafe { poll(pollfds.as_mut_ptr(), pollfds.len() as u64, timeout_ms) };
-        if rc < 0 {
-            let err = io::Error::last_os_error();
-            if err.kind() == io::ErrorKind::Interrupted {
-                return Ok(Vec::new());
-            }
-            return Err(err);
+            });
         }
-        Ok(pollfds
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| p.revents & (POLLIN | POLLERR | POLLHUP) != 0)
-            .map(|(i, _)| i)
-            .collect())
+
+        /// One `poll(2)` over every entry, for up to `timeout_ms`. A
+        /// signal that cuts the wait short reports nothing ready.
+        pub fn wait(&mut self, timeout_ms: i32) -> io::Result<()> {
+            // SAFETY: `fds` is an exclusively borrowed array of exactly
+            // `len` `#[repr(C)]` pollfd records, and poll(2) reads and
+            // writes only within it.
+            let rc = unsafe { poll(self.fds.as_mut_ptr(), self.fds.len() as u64, timeout_ms) };
+            if rc < 0 {
+                let err = io::Error::last_os_error();
+                if err.kind() != io::ErrorKind::Interrupted {
+                    return Err(err);
+                }
+            }
+            Ok(())
+        }
+
+        /// Entry `i` has bytes, an EOF or an error to read.
+        pub fn readable(&self, i: usize) -> bool {
+            self.fds[i].revents & (POLLIN | POLLERR | POLLHUP) != 0
+        }
+
+        /// Entry `i` can take more output, or has an error to report.
+        pub fn writable(&self, i: usize) -> bool {
+            self.fds[i].revents & (POLLOUT | POLLERR | POLLHUP) != 0
+        }
+    }
+
+    /// One `poll(2)` sweep over `fds` asking for readability. Returns
+    /// the indices that are readable, hung up, or errored.
+    pub fn poll_readable(fds: &[RawFd], timeout_ms: i32) -> io::Result<Vec<usize>> {
+        let mut set = PollSet::default();
+        for fd in fds {
+            set.push(fd, true, false);
+        }
+        set.wait(timeout_ms)?;
+        Ok((0..fds.len()).filter(|&i| set.readable(i)).collect())
     }
 
     /// Wait up to `timeout`, rounded up to whole milliseconds, for
@@ -241,6 +265,44 @@ mod unix {
         let ms = timeout.as_micros().div_ceil(1000).min(i32::MAX as u128) as i32;
         Ok(!poll_readable(&[stream.as_raw_fd()], ms)?.is_empty())
     }
+
+    /// A loop's end of its wake channel: readable once a [`Waker`] fired.
+    #[derive(Debug)]
+    pub struct WakeRx(UnixStream);
+
+    /// Ends a loop's [`PollSet::wait`] from another thread.
+    #[derive(Debug, Clone)]
+    pub struct Waker(Arc<UnixStream>);
+
+    /// A connected wake channel, both ends nonblocking.
+    pub fn wake_pair() -> io::Result<(WakeRx, Waker)> {
+        let (rx, tx) = UnixStream::pair()?;
+        rx.set_nonblocking(true)?;
+        tx.set_nonblocking(true)?;
+        Ok((WakeRx(rx), Waker(Arc::new(tx))))
+    }
+
+    impl Waker {
+        /// Make the loop's current or next wait return. A write that
+        /// would block finds the channel full of wake-ups already.
+        pub fn wake(&self) {
+            let _ = (&*self.0).write(&[1]);
+        }
+    }
+
+    impl WakeRx {
+        /// Consume every pending wake-up.
+        pub fn drain(&self) {
+            let mut buf = [0u8; 64];
+            while matches!((&self.0).read(&mut buf), Ok(n) if n > 0) {}
+        }
+    }
+
+    impl AsRawFd for WakeRx {
+        fn as_raw_fd(&self) -> RawFd {
+            self.0.as_raw_fd()
+        }
+    }
 }
 
 #[cfg(not(unix))]
@@ -249,10 +311,6 @@ mod fallback {
     use std::net::{SocketAddr, TcpListener, TcpStream};
     use std::time::Duration;
 
-    pub const REUSEPORT_SUPPORTED: bool = false;
-    pub const POLL_SUPPORTED: bool = false;
-    pub type RawFd = i32;
-
     pub fn bind_reuseport(_addr: &SocketAddr) -> io::Result<TcpListener> {
         Err(io::Error::new(
             io::ErrorKind::Unsupported,
@@ -260,11 +318,47 @@ mod fallback {
         ))
     }
 
-    pub fn poll_readable(_fds: &[RawFd], _timeout_ms: i32) -> io::Result<Vec<usize>> {
-        Err(io::Error::new(
-            io::ErrorKind::Unsupported,
-            "poll unavailable",
-        ))
+    /// No `poll(2)`: a nap of at most 1 ms, after which every entry
+    /// counts as ready.
+    #[derive(Debug, Default)]
+    pub struct PollSet;
+
+    impl PollSet {
+        pub fn clear(&mut self) {}
+
+        pub fn push<T>(&mut self, _socket: &T, _read: bool, _write: bool) {}
+
+        pub fn wait(&mut self, timeout_ms: i32) -> io::Result<()> {
+            std::thread::sleep(Duration::from_millis(timeout_ms.clamp(0, 1) as u64));
+            Ok(())
+        }
+
+        pub fn readable(&self, _i: usize) -> bool {
+            true
+        }
+
+        pub fn writable(&self, _i: usize) -> bool {
+            true
+        }
+    }
+
+    /// No wake fd: the loop's 1 ms nap stands in for it.
+    #[derive(Debug)]
+    pub struct WakeRx;
+
+    #[derive(Debug, Clone)]
+    pub struct Waker;
+
+    pub fn wake_pair() -> io::Result<(WakeRx, Waker)> {
+        Ok((WakeRx, Waker))
+    }
+
+    impl Waker {
+        pub fn wake(&self) {}
+    }
+
+    impl WakeRx {
+        pub fn drain(&self) {}
     }
 
     /// A one-byte peek under a read timeout, which the platform may
@@ -294,13 +388,7 @@ mod tests {
 
     #[test]
     fn reuseport_siblings_share_one_port_and_both_accept() {
-        let (listeners, local, mode) = bind_shard_listeners("127.0.0.1:0", 2).unwrap();
-        if mode != AcceptMode::ReusePort {
-            // Platform without SO_REUSEPORT: the fallback contract is a
-            // single dispatch listener.
-            assert_eq!(listeners.len(), 1);
-            return;
-        }
+        let (listeners, local) = bind_shard_listeners("127.0.0.1:0", 2).unwrap();
         assert_eq!(listeners.len(), 2);
         assert_ne!(local.port(), 0);
         for l in &listeners {

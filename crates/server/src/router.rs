@@ -1,6 +1,6 @@
-//! Path → route resolution, split out from handling so triage can make
-//! its fast-path decision (health probes, rejects) without touching the
-//! query engine.
+//! Path → route resolution, split out from handling so the shard loop
+//! can make its fast-path decision (health probes, rejects) without
+//! touching the query engine.
 //!
 //! Every externally-visible endpoint is documented *in this file*, as
 //! data: [`Route::doc`] is a closed match (no wildcard arm), so adding a
@@ -15,23 +15,23 @@ use osn_graph::Day;
 /// Where a request goes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Route {
-    /// `GET /healthz` — liveness; answered by triage even under full
-    /// overload so probes never queue behind real work.
+    /// `GET /healthz` — liveness; answered by the shard loop even under
+    /// full overload so probes never queue behind real work.
     Health,
-    /// `GET /readyz` — readiness; also triage-answered.
+    /// `GET /readyz` — readiness; also loop-answered.
     Ready,
     /// `GET /v1/meta` — trace identity + engine kind + server version.
     Meta,
     /// `GET /v1/days` — trace identity + queryable day lists.
     Days,
     /// `GET /v1/stats` — server counters + telemetry snapshot as JSON;
-    /// triage-answered so it stays readable under overload.
+    /// loop-answered so it stays readable under overload.
     Stats,
     /// `GET /v1/head` — live-ingest head state: published day, applied
-    /// events, lag estimate, ingest health; triage-answered so staleness
+    /// events, lag estimate, ingest health; loop-answered so staleness
     /// stays observable while the work queue sheds (or ingest wedges).
     Head,
-    /// `GET /metrics` — Prometheus text exposition; also triage-answered.
+    /// `GET /metrics` — Prometheus text exposition; also loop-answered.
     Prometheus,
     /// `GET /v1/metrics/{day}` — one Figure 1(c)–(f) CSV row.
     Metrics(Day),
@@ -39,8 +39,8 @@ pub enum Route {
     Communities(Day),
     /// `POST /v1/events` — durable write plane: append one authenticated,
     /// idempotent event batch to the WAL-backed trace. Admission-checked
-    /// at triage (auth, rate budget, fsync queue, head lag), body read
-    /// and applied on a worker.
+    /// in the shard loop (auth, rate budget, fsync queue, head lag), body
+    /// read and applied on a worker.
     PostEvents,
     /// Known prefix, unparseable day segment.
     BadDay,
@@ -58,7 +58,8 @@ pub struct RouteDoc {
     pub method: &'static str,
     /// Path pattern, e.g. `/v1/metrics/{day}`.
     pub path: &'static str,
-    /// Which plane answers: triage (never queued) or the worker queue.
+    /// Which plane answers: the shard loop (never queued), or the worker
+    /// queue unless the response cache has the answer.
     pub plane: &'static str,
     /// Response body on success.
     pub body: &'static str,
@@ -67,8 +68,9 @@ pub struct RouteDoc {
 }
 
 impl Route {
-    /// True for routes triage resolves inline; false for routes that go
-    /// through the bounded work queue.
+    /// True for routes the shard loop answers without the response cache
+    /// or a handler; false for routes that may go through the bounded
+    /// work queue.
     pub fn is_fast_path(self) -> bool {
         !matches!(
             self,
@@ -105,14 +107,14 @@ impl Route {
             Route::Health => Some(RouteDoc {
                 method: "GET",
                 path: "/healthz",
-                plane: "triage",
+                plane: "loop",
                 body: "`text/plain` — `ok`",
                 summary: "Liveness probe; answered even under full overload.",
             }),
             Route::Ready => Some(RouteDoc {
                 method: "GET",
                 path: "/readyz",
-                plane: "triage",
+                plane: "loop",
                 body: "`application/json` — readiness + trace identity",
                 summary: "Readiness probe; the query engine is always warm once the \
                           listener is up.",
@@ -120,7 +122,7 @@ impl Route {
             Route::Meta => Some(RouteDoc {
                 method: "GET",
                 path: "/v1/meta",
-                plane: "triage",
+                plane: "loop",
                 body: "`application/json` — trace identity, snapshot engine, server version",
                 summary: "How the served answers were built: node/edge/day counts, trace \
                           fingerprint, engine kind (`batch`/`incremental`), crate version.",
@@ -128,14 +130,14 @@ impl Route {
             Route::Days => Some(RouteDoc {
                 method: "GET",
                 path: "/v1/days",
-                plane: "workers",
+                plane: "loop on a cache hit, else workers",
                 body: "`application/json` — metric + community day lists",
                 summary: "Every queryable snapshot day, plus trace identity.",
             }),
             Route::Stats => Some(RouteDoc {
                 method: "GET",
                 path: "/v1/stats",
-                plane: "triage",
+                plane: "loop",
                 body: "`application/json` — server counters + telemetry snapshot",
                 summary: "Serving-plane counters and the full telemetry snapshot; stays \
                           readable while the work queue sheds.",
@@ -143,7 +145,7 @@ impl Route {
             Route::Head => Some(RouteDoc {
                 method: "GET",
                 path: "/v1/head",
-                plane: "triage",
+                plane: "loop",
                 body: "`application/json` — ingest head state",
                 summary: "Live-ingest head: published day, applied events, ingest lag and \
                           health, staleness of the served snapshot. In batch mode health is \
@@ -152,14 +154,14 @@ impl Route {
             Route::Prometheus => Some(RouteDoc {
                 method: "GET",
                 path: "/metrics",
-                plane: "triage",
+                plane: "loop",
                 body: "`text/plain` — Prometheus exposition",
                 summary: "Server counters and telemetry in Prometheus text format.",
             }),
             Route::Metrics(_) => Some(RouteDoc {
                 method: "GET",
                 path: "/v1/metrics/{day}",
-                plane: "workers",
+                plane: "loop on a cache hit, else workers",
                 body: "`text/csv` — header + one row",
                 summary: "One Figure 1(c)–(f) row, byte-identical to `osn metrics` CSV \
                           output; 404 for a day with no snapshot.",
@@ -167,7 +169,7 @@ impl Route {
             Route::Communities(_) => Some(RouteDoc {
                 method: "GET",
                 path: "/v1/communities/{day}",
-                plane: "workers",
+                plane: "loop on a cache hit, else workers",
                 body: "`text/csv` — header + one row",
                 summary: "One community-summary row, byte-identical to `osn communities` \
                           CSV output; 404 for a day with no snapshot.",
@@ -207,16 +209,19 @@ pub fn api_markdown() -> String {
          Endpoints are `GET` unless the table says otherwise; a known path with \
          the wrong method is `405`. Unknown paths are `404`; a known prefix with \
          an unparseable `{day}` is `400`. Overload is shed with `503` (or `429` \
-         for a per-token write budget) + `Retry-After`. The *triage* plane \
-         answers inline, before the bounded work queue, so those endpoints stay \
-         responsive while the server sheds load.\n\n\
+         for a per-token write budget) + `Retry-After`. The *loop* plane \
+         (one `poll(2)` loop per shard) answers inline, before the bounded work \
+         queue, so those endpoints stay responsive while the server sheds load; \
+         it also answers every day endpoint whose answer is in the response \
+         cache.\n\n\
          Connections are HTTP/1.1 keep-alive (pipelining included; \
          `Connection: close` honored). Answers to pipelined requests are \
          corked: they leave in one socket write once no complete request \
          is buffered, before a cache miss or a `POST /v1/events` body is \
-         waited on, and at 64 KiB; sockets run with `TCP_NODELAY`. An idle \
-         kept-alive connection is parked after 1 ms and closed after \
-         `--keepalive-timeout`. The worker-plane day endpoints and \
+         waited on, and at 64 KiB; sockets run with `TCP_NODELAY`. A worker \
+         hands a kept-alive connection back to its loop after 1 ms without a \
+         next request; an idle one is closed after `--keepalive-timeout`. The \
+         day endpoints and \
          `/v1/days` additionally honor `Accept-Encoding: gzip`, answering \
          `Content-Encoding: gzip` whenever the precompressed body is smaller \
          than the plain one (tiny bodies always come back identity).\n\n\

@@ -1,19 +1,20 @@
-//! The daemon: sharded acceptors → per-shard triage → bounded per-shard
-//! work queues → handler workers with keep-alive continuation, explicit
-//! load shedding at every hand-off, and a deadline-bounded graceful
-//! drain.
+//! The daemon: one `poll(2)` loop per shard → bounded per-shard work
+//! queues → handler workers with keep-alive continuation, explicit load
+//! shedding at every hand-off, and a deadline-bounded graceful drain.
 //!
 //! ```text
-//!   shard 0..N  (SO_REUSEPORT listeners; single-dispatch fallback)
-//!        │ accept (nonblocking poll)
-//!        │  try_send ── full ⇒ raw 503, no read
-//!        ▼
-//!   triage queue (bounded, per shard)
+//!   shard 0..N  (one SO_REUSEPORT listener each, else clones of one)
 //!        │
-//!   triage (1–2 threads per shard)
-//!   - read head under the per-request header window (slow-loris cutoff)
-//!   - /healthz, /readyz, 4xx: answered HERE, never queued,
-//!     so probes stay green while the work queue burns
+//!   loop (1 thread per shard): one poll(2) over its listener and every
+//!   connection no worker holds; nonblocking reads and corked writes
+//!   - accept; 128 connections awaiting a first head ⇒ raw 503, no read
+//!   - header window over ⇒ 408 (slow-loris cutoff); idle past
+//!     --keepalive-timeout ⇒ close; answers untaken for 5 s ⇒ close
+//!   - answered HERE, never queued: /healthz, /readyz, /v1/meta,
+//!     /v1/stats, /v1/head, /metrics, response-cache hits, 4xx,
+//!     write-admission rejections — so probes stay green while the
+//!     work queue burns
+//!        │  cache misses + admitted POST /v1/events
 //!        │  try_send ── full ⇒ 503 + Retry-After
 //!        ▼
 //!   work queue (bounded, --queue-depth per shard)
@@ -23,33 +24,33 @@
 //!   - catch_unwind panic isolation via the shared supervisor
 //!   - keep-alive continuation: pipelined requests on the same
 //!     connection are answered in arrival order without re-queueing,
-//!     up to a fairness burst, then the connection is recycled
+//!     up to a fairness burst; after it, or 1 ms without a next
+//!     request, the connection goes back to its loop
 //!   - answers are corked: one socket write per burst (`http::Conn`)
-//!        │ idle keep-alive connections
-//!        ▼
-//!   parker (1 thread per shard): poll(2) readiness sweep, wakes
-//!   connections back into triage, culls idlers at --keepalive-timeout
 //! ```
 //!
-//! Shutdown: flip the shared flag → acceptors stop, each stage drains
-//! what it already holds on its next tick and exits, the parker closes
-//! every idle connection, and in-flight keep-alive connections are
-//! closed after their current response. The coordinator waits up to the
-//! drain deadline; whatever is still unanswered after that is *aborted*
-//! (reported, and mapped to exit 4 by the CLI).
+//! Shutdown: flip the shared flag → loops stop accepting and close idle
+//! connections, answer or queue what they still hold (heads still
+//! arriving keep their header window) and exit once they hold nothing;
+//! workers drain their queue and close kept-alive connections after the
+//! current response. The coordinator waits up to the drain deadline;
+//! whatever is still unanswered after that is *aborted* (reported, and
+//! mapped to exit 4 by the CLI).
 
 use crate::accesslog::{AccessLog, ServerStats, StatsSnapshot};
 use crate::cache::{CacheKind, ResponseCache};
-use crate::handlers::{handle, HandlerPolicy};
-use crate::http::{Conn, ConnProgress, HeadError, RequestHead, Response, RAW_SHED_503};
-use crate::net::{bind_shard_listeners, AcceptMode};
+use crate::handlers::{handle, Handled, HandlerPolicy};
+use crate::http::{
+    Conn, ConnProgress, HeadError, RequestHead, Response, MAX_CORKED_BYTES, RAW_SHED_503,
+};
+use crate::net::{bind_shard_listeners, wake_pair, PollSet, WakeRx, Waker};
 use crate::router::{route, Route};
 use crate::write::{WritePlaneConfig, WriteState};
 use osn_core::live::LiveQuery;
 use osn_core::query::SnapshotQuery;
 use osn_graph::testutil::ChaosTaskPlan;
 use std::io::{self, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{
     channel, sync_channel, Receiver, RecvTimeoutError, Sender, SyncSender, TrySendError,
@@ -58,43 +59,34 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Triage threads per shard. Two in the classic single-shard layout so
-/// one hostile slow peer cannot serialise everyone behind it; one per
-/// shard once sharding already provides that isolation.
-fn triage_threads(shards: usize) -> usize {
-    if shards == 1 {
-        2
-    } else {
-        1
-    }
-}
-
-/// Hard cap on auto-detected shards: beyond this the acceptor fan-in
-/// stops paying for itself on the workloads this daemon sees.
+/// Hard cap on auto-detected shards: beyond this more loops stop
+/// paying for themselves on the workloads this daemon sees.
 const MAX_AUTO_SHARDS: usize = 8;
 
-/// Socket write timeout for responses.
+/// Connections a loop holds that still await their first head. Past it
+/// a new connection gets a raw 503 without a read, so a connect flood
+/// hits a hard wall instead of growing fds without bound.
+const ACCEPT_BACKLOG: usize = 128;
+
+/// Socket write timeout for a worker's responses; in a loop, how long
+/// answers may wait for the peer to take them before the connection is
+/// closed.
 const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// How long a worker lingers on a kept-alive connection waiting for the
-/// next pipelined request before handing it to the parker. Closed-loop
-/// clients answer well inside this; anything slower parks.
+/// next pipelined request before handing it back to its loop.
+/// Closed-loop clients answer well inside this.
 const WORKER_LINGER: Duration = Duration::from_millis(1);
 
-/// Requests a worker answers on one connection before recycling it
-/// through the triage queue, so one chatty pipeliner cannot pin a
-/// worker while other connections queue.
+/// Requests a worker answers on one connection before handing it back
+/// to its loop, so one chatty pipeliner cannot pin a worker while other
+/// connections queue.
 const WORKER_BURST: u64 = 64;
 
-/// Fast-path requests triage answers inline on one connection before
-/// recycling it, bounding how long a probe pipeliner can camp on a
-/// triage thread.
-const TRIAGE_BURST: u64 = 32;
-
-/// Idle tick for stage loops: how often a blocked dequeue re-checks the
-/// shutdown flag. Bounds drain latency, not request latency.
+/// Longest wait in a loop's poll or a worker's dequeue: how often they
+/// re-check deadlines and the shutdown flag. Bounds drain latency, not
+/// request latency.
 const STAGE_TICK: Duration = Duration::from_millis(20);
-
 /// Everything `Server::start` needs. `Default` gives the classic
 /// single-shard values; tests override the knobs they are drilling and
 /// the CLI asks for `shards: 0` (one per core).
@@ -108,13 +100,6 @@ pub struct ServerConfig {
     pub workers: usize,
     /// Bound on each shard's work queue; beyond it requests are shed.
     pub queue_depth: usize,
-    /// Bound on each shard's accept→triage queue. Triage drains in
-    /// microseconds per parsed head, so this can sit well above
-    /// `queue_depth` without creating real backlog — it exists so health
-    /// probes keep flowing while the work queue sheds, yet a connect
-    /// flood still hits a hard wall (raw 503, no read) instead of
-    /// unbounded fd growth.
-    pub accept_backlog: usize,
     /// Per-request soft deadline, covering queue wait plus handling.
     pub request_timeout: Duration,
     /// Budget for reading one request head, counted from accept for the
@@ -133,12 +118,12 @@ pub struct ServerConfig {
     /// Durable write plane (`POST /v1/events`). `None` — the default —
     /// keeps the daemon read-only: the route answers `403`.
     pub write: Option<WritePlaneConfig>,
-    /// Acceptor/queue shards. 1 = the classic single-acceptor layout;
-    /// 0 = one shard per core (capped); N = exactly N shards, each with
-    /// its own `SO_REUSEPORT` listener, queues, workers, and parker.
+    /// Loop/queue shards. 1 = one loop; 0 = one shard per core
+    /// (capped); N = exactly N shards, each with its own `SO_REUSEPORT`
+    /// listener, loop, work queue and workers.
     pub shards: usize,
-    /// Idle keep-alive connections are closed after this long parked
-    /// with no request bytes.
+    /// Idle keep-alive connections are closed after this long with no
+    /// request bytes.
     pub keepalive_timeout: Duration,
     /// Hot-day response cache (pre-rendered CSV + precompressed gzip).
     /// Forced off when `chaos` is set.
@@ -151,7 +136,6 @@ impl Default for ServerConfig {
             addr: "127.0.0.1:0".to_string(),
             workers: 0,
             queue_depth: 64,
-            accept_backlog: 128,
             request_timeout: Duration::from_secs(5),
             header_timeout: Duration::from_secs(2),
             drain_timeout: Duration::from_secs(5),
@@ -165,7 +149,6 @@ impl Default for ServerConfig {
         }
     }
 }
-
 /// What happened to in-flight work when the server went down.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DrainReport {
@@ -205,7 +188,7 @@ impl ShardStats {
 }
 
 /// Decrements `in_flight` when the connection is dropped, however it is
-/// dropped — answered, shed, culled by the parker, or abandoned by a
+/// dropped — answered, shed, culled as idle, or abandoned by a
 /// panicking stage.
 #[derive(Debug)]
 struct Ticket(Arc<Shared>);
@@ -232,15 +215,6 @@ struct Job {
     /// connection, parse time for a kept-alive continuation.
     started: Instant,
 }
-
-/// The channel ends a shard's stages share.
-#[derive(Clone)]
-struct ShardChannels {
-    triage_tx: SyncSender<Flow>,
-    work_tx: SyncSender<Job>,
-    park_tx: Sender<Flow>,
-}
-
 /// Shared state every stage touches.
 #[derive(Debug)]
 struct Shared {
@@ -249,13 +223,10 @@ struct Shared {
     log: AccessLog,
     shutdown: AtomicBool,
     /// Connections accepted but not yet answered-and-closed (includes
-    /// parked keep-alive connections).
+    /// idle keep-alive connections).
     in_flight: AtomicU64,
-    /// Triage + worker + parker threads still running.
+    /// Loop and worker threads still running.
     live_threads: AtomicUsize,
-    /// Triage threads still running — workers drain out only after the
-    /// last triage thread can no longer feed them.
-    triage_live: AtomicUsize,
     request_timeout: Duration,
     header_timeout: Duration,
     keepalive_timeout: Duration,
@@ -331,7 +302,6 @@ fn record_http_telemetry(path: &str, status: u16, elapsed: Duration, load_shed: 
         _ => {}
     }
 }
-
 /// A running daemon. In batch mode ([`Server::start`]) startup is
 /// all-or-nothing: the trace analyses were already materialised into the
 /// [`SnapshotQuery`] before `start`, so by the time `start` returns the
@@ -343,13 +313,12 @@ fn record_http_telemetry(path: &str, status: u16, elapsed: Duration, load_shed: 
 pub struct Server {
     addr: SocketAddr,
     shared: Arc<Shared>,
-    acceptors: Vec<JoinHandle<()>>,
-    stage_handles: Vec<JoinHandle<()>>,
+    threads: Vec<JoinHandle<()>>,
     drain_timeout: Duration,
 }
 
 impl Server {
-    /// Bind, spawn the pipeline, and return once the listeners are live.
+    /// Bind, spawn the shards, and return once the listeners are live.
     /// Serves one frozen snapshot (batch mode).
     pub fn start(cfg: ServerConfig, query: Arc<SnapshotQuery>) -> io::Result<Server> {
         Server::start_live(cfg, LiveQuery::fixed(query))
@@ -380,9 +349,8 @@ impl Server {
             cfg.workers
         };
         let workers_per_shard = (workers_total / shards).max(1);
-        let triage_per_shard = triage_threads(shards);
 
-        let (listeners, addr, mode) = bind_shard_listeners(&cfg.addr, shards)?;
+        let (listeners, addr) = bind_shard_listeners(&cfg.addr, shards)?;
 
         let shared = Arc::new(Shared {
             live,
@@ -390,8 +358,7 @@ impl Server {
             log: cfg.access_log,
             shutdown: AtomicBool::new(false),
             in_flight: AtomicU64::new(0),
-            live_threads: AtomicUsize::new(shards * (triage_per_shard + workers_per_shard + 1)),
-            triage_live: AtomicUsize::new(shards * triage_per_shard),
+            live_threads: AtomicUsize::new(shards * (1 + workers_per_shard)),
             request_timeout: cfg.request_timeout,
             header_timeout: cfg.header_timeout,
             keepalive_timeout: cfg.keepalive_timeout,
@@ -402,87 +369,41 @@ impl Server {
             shards: (0..shards).map(ShardStats::new).collect(),
         });
 
-        let mut stage_handles =
-            Vec::with_capacity(shards * (triage_per_shard + workers_per_shard + 1));
-        let mut shard_channels = Vec::with_capacity(shards);
-        for shard in 0..shards {
-            let (triage_tx, triage_rx) = sync_channel::<Flow>(cfg.accept_backlog.max(1));
+        let mut threads = Vec::with_capacity(shards * (1 + workers_per_shard));
+        for (shard, listener) in listeners.into_iter().enumerate() {
+            // The loop owns the only sender: once it exits and the queue
+            // is drained, the workers see the channel disconnect.
             let (work_tx, work_rx) = sync_channel::<Job>(cfg.queue_depth);
-            let (park_tx, park_rx) = channel::<Flow>();
-            let chans = ShardChannels {
-                triage_tx,
-                work_tx,
-                park_tx,
-            };
-            let triage_rx = Arc::new(Mutex::new(triage_rx));
+            let (back_tx, back_rx) = channel::<Flow>();
+            let (wake_rx, waker) = wake_pair()?;
             let work_rx = Arc::new(Mutex::new(work_rx));
-            for i in 0..triage_per_shard {
-                let shared = Arc::clone(&shared);
-                let rx = Arc::clone(&triage_rx);
-                let chans = chans.clone();
-                stage_handles.push(
-                    std::thread::Builder::new()
-                        .name(format!("osn-triage-{shard}-{i}"))
-                        .spawn(move || triage_loop(&shared, shard, &rx, &chans))?,
-                );
-            }
             for i in 0..workers_per_shard {
                 let shared = Arc::clone(&shared);
                 let rx = Arc::clone(&work_rx);
-                let chans = chans.clone();
-                stage_handles.push(
+                let home = Home {
+                    tx: back_tx.clone(),
+                    waker: waker.clone(),
+                };
+                threads.push(
                     std::thread::Builder::new()
                         .name(format!("osn-worker-{shard}-{i}"))
-                        .spawn(move || worker_loop(&shared, shard, &rx, &chans))?,
+                        .spawn(move || worker_loop(&shared, shard, &rx, &home))?,
                 );
             }
-            {
-                let shared = Arc::clone(&shared);
-                let chans = chans.clone();
-                stage_handles.push(
-                    std::thread::Builder::new()
-                        .name(format!("osn-parker-{shard}"))
-                        .spawn(move || parker_loop(&shared, shard, &park_rx, &chans))?,
-                );
-            }
-            shard_channels.push(chans);
+            let shared = Arc::clone(&shared);
+            threads.push(
+                std::thread::Builder::new()
+                    .name(format!("osn-loop-{shard}"))
+                    .spawn(move || {
+                        shard_loop(&shared, shard, &listener, &wake_rx, &back_rx, &work_tx)
+                    })?,
+            );
         }
-
-        let mut acceptors = Vec::with_capacity(listeners.len());
-        match mode {
-            AcceptMode::ReusePort => {
-                for (shard, listener) in listeners.into_iter().enumerate() {
-                    let shared = Arc::clone(&shared);
-                    let targets = vec![(shard, shard_channels[shard].triage_tx.clone())];
-                    acceptors.push(
-                        std::thread::Builder::new()
-                            .name(format!("osn-acceptor-{shard}"))
-                            .spawn(move || accept_loop(&shared, &listener, &targets))?,
-                    );
-                }
-            }
-            AcceptMode::SingleDispatch => {
-                let listener = listeners.into_iter().next().expect("one listener");
-                let shared = Arc::clone(&shared);
-                let targets: Vec<(usize, SyncSender<Flow>)> = shard_channels
-                    .iter()
-                    .enumerate()
-                    .map(|(i, c)| (i, c.triage_tx.clone()))
-                    .collect();
-                acceptors.push(
-                    std::thread::Builder::new()
-                        .name("osn-acceptor".to_string())
-                        .spawn(move || accept_loop(&shared, &listener, &targets))?,
-                );
-            }
-        }
-        drop(shard_channels);
 
         Ok(Server {
             addr,
             shared,
-            acceptors,
-            stage_handles,
+            threads,
             drain_timeout: cfg.drain_timeout,
         })
     }
@@ -504,23 +425,23 @@ impl Server {
     }
 
     /// Wait for shutdown (someone must call [`Server::request_shutdown`]
-    /// or this blocks forever), then drain: every stage finishes what it
-    /// already holds, bounded by the drain deadline. Whatever is still
+    /// or this blocks forever), then drain: every thread finishes what
+    /// it already holds, bounded by the drain deadline. Whatever is still
     /// unanswered at the deadline is abandoned and reported.
     pub fn join(self) -> DrainReport {
-        for a in self.acceptors {
-            let _ = a.join();
+        while !self.shared.shutting_down() {
+            std::thread::sleep(STAGE_TICK);
         }
         let deadline = Instant::now() + self.drain_timeout;
         loop {
             if self.shared.live_threads.load(Ordering::Acquire) == 0 {
-                for h in self.stage_handles {
+                for h in self.threads {
                     let _ = h.join();
                 }
                 return DrainReport { aborted: 0 };
             }
             if Instant::now() >= deadline {
-                // Stuck stages stay detached; the process exit (or the
+                // Stuck threads stay detached; the process exit (or the
                 // test harness) reclaims them. Their connections count
                 // as aborted.
                 return DrainReport {
@@ -532,80 +453,13 @@ impl Server {
     }
 }
 
-/// Decrement a live-count even if a stage loop panics.
+/// Decrement a live-count even if a thread panics.
 struct CountGuard<'a>(&'a AtomicUsize);
 
 impl Drop for CountGuard<'_> {
     fn drop(&mut self) {
         self.0.fetch_sub(1, Ordering::Release);
     }
-}
-
-fn accept_loop(
-    shared: &Arc<Shared>,
-    listener: &TcpListener,
-    targets: &[(usize, SyncSender<Flow>)],
-) {
-    let mut next = 0usize;
-    while !shared.shutting_down() {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                // Accepted sockets must be blocking regardless of what
-                // they inherited from the nonblocking listener.
-                let _ = stream.set_nonblocking(false);
-                shared.stats.accepted.fetch_add(1, Ordering::Relaxed);
-                shared.in_flight.fetch_add(1, Ordering::Release);
-                let flow = Flow {
-                    conn: Conn::new(stream),
-                    _ticket: Ticket(Arc::clone(shared)),
-                };
-                // Round-robin across shards (a reuseport acceptor has
-                // exactly one target), failing over once around before
-                // shedding.
-                let mut rejected = Some(flow);
-                for attempt in 0..targets.len() {
-                    let (shard, tx) = &targets[(next + attempt) % targets.len()];
-                    // Gauge up *before* the send: the receiver's
-                    // matching `sub` can run the instant the flow lands,
-                    // and a decrement racing ahead of this increment
-                    // would show a negative depth in /v1/stats.
-                    shared.shards[*shard].triage_depth.add(1);
-                    match tx.try_send(rejected.take().expect("flow present")) {
-                        Ok(()) => break,
-                        Err(TrySendError::Full(f) | TrySendError::Disconnected(f)) => {
-                            shared.shards[*shard].triage_depth.sub(1);
-                            rejected = Some(f)
-                        }
-                    }
-                }
-                if let Some(flow) = rejected {
-                    // Every triage queue is backed up: answer with a
-                    // canned 503 without reading a byte, so the reject
-                    // path costs nothing a flood can amplify.
-                    let accepted = flow.conn.accepted;
-                    let _ = flow
-                        .conn
-                        .stream()
-                        .set_write_timeout(Some(Duration::from_millis(200)));
-                    let _ = raw_shed(flow.conn.stream());
-                    let shard = targets[next % targets.len()].0;
-                    shared.finish(shard, "-", "-", 503, accepted, "shed");
-                }
-                next = next.wrapping_add(1);
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            // Transient accept failures (EMFILE under flood): back off a
-            // beat instead of spinning or dying.
-            Err(_) => std::thread::sleep(Duration::from_millis(5)),
-        }
-    }
-}
-
-fn raw_shed(mut stream: &TcpStream) -> io::Result<()> {
-    stream.write_all(RAW_SHED_503)
 }
 
 /// `503` for data requests that arrive before the live head has
@@ -706,7 +560,7 @@ fn fast_response(shared: &Shared, r: Route) -> Response {
                 body.push_str(&format!("# TYPE {name} counter\n{name} {v}\n"));
             }
             // Per-shard queue state as one labeled gauge family (the
-            // global `osn_http_queue_depth` of the single-acceptor era),
+            // global `osn_http_queue_depth` of the unsharded daemon),
             // plus per-shard shed counters.
             body.push_str("# TYPE osn_http_queue_depth gauge\n");
             for (i, sh) in shared.shards.iter().enumerate() {
@@ -772,13 +626,14 @@ enum Disposition {
     Close,
 }
 
-/// Answer a head-read failure. Returns `Close` always; `HeadError::
-/// Closed` (clean keep-alive hangup) is silent, everything else gets a
-/// best-effort response plus an access line.
-fn fail_head(shared: &Shared, shard: usize, flow: &mut Flow, err: HeadError, since: Instant) {
+/// Answer a head-read failure. `HeadError::Closed` (clean keep-alive
+/// hangup) is silent; everything else gets a best-effort closing
+/// response plus an access line.
+fn fail_head(shared: &Shared, shard: usize, conn: &mut Conn, err: HeadError) {
     if err == HeadError::Closed {
         return;
     }
+    let since = request_start(conn);
     shared.stats.bad_heads.fetch_add(1, Ordering::Relaxed);
     let status = match err {
         HeadError::TimedOut => Some(408),
@@ -789,21 +644,34 @@ fn fail_head(shared: &Shared, shard: usize, flow: &mut Flow, err: HeadError, sin
     };
     if let Some(status) = status {
         let resp = Response::text(status, &format!("{}\n", err.as_str()));
-        let _ = flow.conn.write_response(&resp, WRITE_TIMEOUT, true);
+        let _ = conn.write_response(&resp, WRITE_TIMEOUT, true);
     }
     shared.finish(shard, "-", "-", status.unwrap_or(0), since, err.as_str());
 }
 
+/// When `conn`'s current request started: accept time for the first
+/// one, the opening of its window for a kept-alive continuation.
+fn request_start(conn: &Conn) -> Instant {
+    if conn.served == 0 {
+        conn.accepted
+    } else {
+        conn.anchor()
+    }
+}
+
 /// Serve one cacheable data route, consulting the hot-day cache when a
-/// consistent (generation-stable) snapshot view is available. A miss
-/// flushes `conn`'s corked answers before the handler computes.
+/// consistent (generation-stable) snapshot view is available and the
+/// loop has not `checked` it already. Without a `policy` (a loop) a miss
+/// returns `None`; with one, it flushes `conn`'s corked answers and runs
+/// the handler.
 fn handle_data(
     shared: &Shared,
     conn: &mut Conn,
     head: &RequestHead,
     route: Route,
-    policy: &HandlerPolicy,
-) -> crate::handlers::Handled {
+    checked: bool,
+    policy: Option<&HandlerPolicy>,
+) -> Option<Handled> {
     // Read the generation on both sides of the snapshot fetch: equal
     // means the Arc belongs to that generation and cache entries may be
     // keyed to it; unequal means a publish raced us, so skip the cache
@@ -813,10 +681,10 @@ fn handle_data(
     let query = shared.live.get();
     let generation = (shared.live.generation() == g1).then_some(g1);
     let Some(query) = query else {
-        return crate::handlers::Handled {
+        return Some(Handled {
             response: not_ready_response(shared),
             reason: "not-ready",
-        };
+        });
     };
     let (kind, day) = match route {
         Route::Days => (CacheKind::Days, 0),
@@ -825,7 +693,7 @@ fn handle_data(
         other => unreachable!("non-data route {other:?} in handle_data"),
     };
     let cache = shared.cache.as_ref().zip(generation);
-    if let Some((cache, generation)) = cache {
+    if let Some((cache, generation)) = cache.filter(|_| !checked) {
         // Days strictly below the latest published day are immutable
         // history: entries for them survive publishes.
         let frozen_below = query.meta().num_days.saturating_sub(1);
@@ -834,12 +702,13 @@ fn handle_data(
                 CacheKind::Days => "application/json",
                 _ => "text/csv; charset=utf-8",
             };
-            return crate::handlers::Handled {
+            return Some(Handled {
                 response: cached_response(content_type, hit, head.accept_gzip),
                 reason: "-",
-            };
+            });
         }
     }
+    let policy = policy?;
     let _ = conn.flush();
     let mut handled = handle(&query, route, policy);
     if handled.response.status == 200 {
@@ -854,7 +723,7 @@ fn handle_data(
             handled.response = cached_response(content_type, stored, head.accept_gzip);
         }
     }
-    handled
+    Some(handled)
 }
 
 fn cached_response(
@@ -869,101 +738,96 @@ fn cached_response(
     }
 }
 
-/// Fully answer one parsed request on a worker (or a triage/worker
-/// continuation): fast path, write plane (with inline admission when the
-/// request did not pass triage), or cached/supervised data handling.
-/// Writes the response and the access line; returns the keep-alive
-/// verdict.
+/// Write admission for `POST /v1/events`: auth, rate budget, and the
+/// fsync/lag valves, all cheap header-only checks that run before the
+/// request can hold a queue slot or a worker, so a write flood cannot
+/// starve queued reads. `Some` is the rejection and its access reason.
+fn admit_post(shared: &Shared, head: &RequestHead) -> Option<(Response, &'static str)> {
+    match &shared.write {
+        None => Some((
+            Response::text(403, "write plane disabled (start with --accept-writes)\n"),
+            "denied",
+        )),
+        Some(w) => w.admit(head, &shared.live).map(|resp| {
+            let reason = match resp.status {
+                429 | 503 => "shed",
+                _ => "denied",
+            };
+            (resp, reason)
+        }),
+    }
+}
+
+/// Answer one parsed request: fast path, write plane, or cached and
+/// supervised data handling. Writes the response and the access line,
+/// and returns the keep-alive verdict.
+///
+/// `checked` says a loop already ran this request's write admission or
+/// cache lookup. Without a `policy` (a loop) nothing blocks or computes:
+/// `None` means the request needs a worker.
 #[allow(clippy::too_many_arguments)]
 fn respond(
     shared: &Shared,
     shard: usize,
-    flow: &mut Flow,
+    conn: &mut Conn,
     head: &RequestHead,
     route: Route,
     started: Instant,
-    admitted: bool,
-    policy: &mut HandlerPolicy,
-) -> Disposition {
+    checked: bool,
+    policy: Option<&mut HandlerPolicy>,
+) -> Option<Disposition> {
     let (handled, mut disposition) = if route.is_fast_path() {
         (
-            crate::handlers::Handled {
+            Handled {
                 response: fast_response(shared, route),
                 reason: "-",
             },
             Disposition::KeepAlive,
         )
     } else if matches!(route, Route::PostEvents) {
-        let rejection = if admitted {
+        let rejection = if checked {
             None
         } else {
-            match &shared.write {
-                None => Some((
-                    Response::text(403, "write plane disabled (start with --accept-writes)\n"),
-                    "denied",
-                )),
-                Some(w) => w.admit(head, &shared.live).map(|resp| {
-                    let reason = match resp.status {
-                        429 | 503 => "shed",
-                        _ => "denied",
-                    };
-                    (resp, reason)
-                }),
-            }
+            admit_post(shared, head)
         };
         match rejection {
             // The body was never read: the connection cannot be reused
             // (the unread body would be parsed as the next head).
-            Some((response, reason)) => (
-                crate::handlers::Handled { response, reason },
-                Disposition::Close,
-            ),
-            None => match &shared.write {
-                Some(write) => {
-                    // The body read and the group-commit wait block:
-                    // corked answers go out first.
-                    let _ = flow.conn.flush();
-                    let handled =
-                        write.handle_post(&mut flow.conn, head, started + shared.request_timeout);
-                    // Only a 2xx proves the body was consumed in full.
-                    let disp = if handled.response.status < 300 {
-                        Disposition::KeepAlive
-                    } else {
-                        Disposition::Close
-                    };
-                    (handled, disp)
-                }
-                // Unreachable when admitted (triage only admits with a
-                // write plane); kept for defence in depth.
-                None => (
-                    crate::handlers::Handled {
-                        response: Response::text(403, "write plane disabled\n"),
-                        reason: "denied",
-                    },
-                    Disposition::Close,
-                ),
-            },
+            Some((response, reason)) => (Handled { response, reason }, Disposition::Close),
+            None => {
+                // A loop queues an admitted write for a worker.
+                policy?;
+                let write = shared.write.as_ref().expect("admitted with a write plane");
+                // The body read and the group-commit wait block: corked
+                // answers go out first.
+                let _ = conn.flush();
+                let handled = write.handle_post(conn, head, started + shared.request_timeout);
+                // Only a 2xx proves the body was consumed in full.
+                let disposition = if handled.response.status < 300 {
+                    Disposition::KeepAlive
+                } else {
+                    Disposition::Close
+                };
+                (handled, disposition)
+            }
         }
     } else {
-        let waited = started.elapsed();
-        match shared.request_timeout.checked_sub(waited) {
-            // The request's whole budget evaporated in the queue: shed
-            // it now instead of doing work nobody is waiting for.
-            None => (
-                crate::handlers::Handled {
+        let handled = match policy {
+            None => handle_data(shared, conn, head, route, checked, None)?,
+            Some(policy) => match shared.request_timeout.checked_sub(started.elapsed()) {
+                // The request's whole budget evaporated in the queue: shed
+                // it now instead of doing work nobody is waiting for.
+                None => Handled {
                     response: Response::shed("expired-in-queue"),
                     reason: "timed-out",
                 },
-                Disposition::KeepAlive,
-            ),
-            Some(budget) => {
-                policy.deadline = Some(budget);
-                (
-                    handle_data(shared, &mut flow.conn, head, route, policy),
-                    Disposition::KeepAlive,
-                )
-            }
-        }
+                Some(budget) => {
+                    policy.deadline = Some(budget);
+                    handle_data(shared, conn, head, route, checked, Some(&*policy))?
+                }
+            },
+        };
+        (handled, Disposition::KeepAlive)
     };
     if head.wants_close {
         disposition = Disposition::Close;
@@ -976,8 +840,7 @@ fn respond(
     }
     let status = handled.response.status;
     let close = disposition == Disposition::Close;
-    let write_ok = flow
-        .conn
+    let write_ok = conn
         .write_response(&handled.response, WRITE_TIMEOUT, close)
         .is_ok();
     shared.finish(
@@ -988,169 +851,84 @@ fn respond(
         started,
         handled.reason,
     );
-    flow.conn.served += 1;
-    if !write_ok {
-        return Disposition::Close;
+    conn.served += 1;
+    Some(if write_ok {
+        disposition
+    } else {
+        Disposition::Close
+    })
+}
+
+/// A worker's way back to its shard loop.
+struct Home {
+    tx: Sender<Flow>,
+    waker: Waker,
+}
+
+impl Home {
+    /// Hand a kept-alive connection back to the loop, buffered bytes and
+    /// corked answers included. Once the loop has exited (drain), the
+    /// connection closes instead.
+    fn give_back(&self, flow: Flow) {
+        if self.tx.send(flow).is_ok() {
+            self.waker.wake();
+        }
     }
-    disposition
 }
 
 /// After a response on a kept-alive connection: answer already-buffered
 /// pipelined requests inline (in order, same thread — responses can
-/// never interleave), linger briefly for the next one, then park or
-/// recycle. `fast_only` is the triage variant: data routes are queued
-/// rather than handled inline.
-#[allow(clippy::too_many_arguments)]
+/// never interleave), linger briefly for the next one, then give the
+/// connection back to its loop.
 fn continue_conn(
     shared: &Shared,
     shard: usize,
     mut flow: Flow,
-    chans: &ShardChannels,
-    burst_limit: u64,
-    fast_only: bool,
+    home: &Home,
     policy: &mut HandlerPolicy,
 ) {
-    let mut burst: u64 = 0;
-    loop {
+    for _ in 1..WORKER_BURST {
         if shared.shutting_down() {
             // Drain: close instead of waiting for a next request that
             // may never come (dropping the connection flushes what the
             // burst corked).
             return;
         }
-        burst += 1;
-        if burst >= burst_limit {
-            recycle_or_park(shared, shard, flow, chans);
-            return;
-        }
         if !flow.conn.head_ready() {
             match flow.conn.await_request(WORKER_LINGER) {
                 ConnProgress::HeadReady => {}
                 ConnProgress::Closed => return,
-                ConnProgress::Idle => {
-                    park(flow, chans);
-                    return;
-                }
+                ConnProgress::Idle => break,
             }
         }
         let started = Instant::now();
         let head = match flow.conn.read_head(shared.header_timeout) {
             Ok(head) => head,
             Err(err) => {
-                fail_head(shared, shard, &mut flow, err, started);
+                fail_head(shared, shard, &mut flow.conn, err);
                 return;
             }
         };
         let r = route(&head);
-        if fast_only && !r.is_fast_path() {
-            // Triage continuation met a data request: admission +
-            // enqueue exactly like a fresh parse.
-            enqueue_work(shared, shard, flow, head, r, started, chans);
-            return;
-        }
-        match respond(shared, shard, &mut flow, &head, r, started, false, policy) {
-            Disposition::Close => return,
-            Disposition::KeepAlive => {}
-        }
-    }
-}
-
-/// Hand a kept-alive connection to its shard parker (never with
-/// buffered bytes — the parker only wakes on *new* socket readability)
-/// once its answers are out. A failed flush or send (the parker is
-/// draining) closes the connection.
-fn park(mut flow: Flow, chans: &ShardChannels) {
-    debug_assert!(!flow.conn.has_buffered());
-    if flow.conn.flush_and_release().is_ok() {
-        let _ = chans.park_tx.send(flow);
-    }
-}
-
-/// Re-queue a connection with a pipelined request already buffered
-/// through triage, giving other connections a turn.
-fn recycle_or_park(shared: &Shared, shard: usize, mut flow: Flow, chans: &ShardChannels) {
-    if !flow.conn.has_buffered() {
-        park(flow, chans);
-        return;
-    }
-    let _ = flow.conn.flush();
-    flow.conn.rearm();
-    // add-before-send: see the acceptor's gauge ordering note.
-    shared.shards[shard].triage_depth.add(1);
-    match chans.triage_tx.try_send(flow) {
-        Ok(()) => {}
-        Err(TrySendError::Full(mut f) | TrySendError::Disconnected(mut f)) => {
-            shared.shards[shard].triage_depth.sub(1);
-            let resp = Response::shed("recycle-queue-full");
-            let _ = f.conn.write_response(&resp, WRITE_TIMEOUT, true);
-            shared.finish(shard, "-", "-", 503, Instant::now(), "shed");
-        }
-    }
-}
-
-/// Write admission + work-queue handoff for one parsed data request.
-fn enqueue_work(
-    shared: &Shared,
-    shard: usize,
-    mut flow: Flow,
-    head: RequestHead,
-    r: Route,
-    started: Instant,
-    chans: &ShardChannels,
-) {
-    // The request may wait in the queue: corked answers go out first.
-    let _ = flow.conn.flush();
-    // Write admission runs before the request can hold a queue slot or
-    // a worker: auth, rate budget, and the fsync/lag valves are all
-    // cheap header-only checks, and rejecting here keeps a write flood
-    // from starving queued reads.
-    if matches!(r, Route::PostEvents) {
-        let rejection = match &shared.write {
-            None => Some(Response::text(
-                403,
-                "write plane disabled (start with --accept-writes)\n",
-            )),
-            Some(w) => w.admit(&head, &shared.live),
-        };
-        if let Some(resp) = rejection {
-            let status = resp.status;
-            let reason = match status {
-                429 | 503 => "shed",
-                _ => "denied",
-            };
-            // Body unread: the connection cannot be reused.
-            let _ = flow.conn.write_response(&resp, WRITE_TIMEOUT, true);
-            shared.finish(shard, &head.method, &head.path, status, started, reason);
+        let disposition = respond(
+            shared,
+            shard,
+            &mut flow.conn,
+            &head,
+            r,
+            started,
+            false,
+            Some(policy),
+        );
+        if disposition != Some(Disposition::KeepAlive) {
             return;
         }
     }
-    // add-before-send: see the acceptor's gauge ordering note.
-    shared.shards[shard].work_depth.add(1);
-    match chans.work_tx.try_send(Job {
-        flow,
-        head,
-        route: r,
-        started,
-    }) {
-        Ok(()) => {}
-        Err(TrySendError::Full(job) | TrySendError::Disconnected(job)) => {
-            shared.shards[shard].work_depth.sub(1);
-            let Job { mut flow, head, .. } = job;
-            let resp = Response::shed("queue-full");
-            let _ = flow.conn.write_response(&resp, WRITE_TIMEOUT, true);
-            shared.finish(shard, &head.method, &head.path, 503, started, "shed");
-        }
-    }
+    home.give_back(flow);
 }
 
-fn triage_loop(
-    shared: &Arc<Shared>,
-    shard: usize,
-    rx: &Mutex<Receiver<Flow>>,
-    chans: &ShardChannels,
-) {
+fn worker_loop(shared: &Arc<Shared>, shard: usize, rx: &Mutex<Receiver<Job>>, home: &Home) {
     let _threads = CountGuard(&shared.live_threads);
-    let _triage = CountGuard(&shared.triage_live);
     let mut policy = HandlerPolicy {
         retries: shared.retries,
         deadline: None,
@@ -1158,276 +936,311 @@ fn triage_loop(
     };
     loop {
         // Hold the lock only for the dequeue, never across socket I/O.
-        let flow = match rx.lock() {
-            Ok(rx) => rx.recv_timeout(STAGE_TICK),
-            Err(_) => return,
-        };
-        let mut flow = match flow {
-            Ok(flow) => flow,
-            Err(RecvTimeoutError::Timeout) => {
-                if shared.shutting_down() {
-                    // Acceptors are gone; drain the stragglers and exit.
-                    loop {
-                        let flow = match rx.lock() {
-                            Ok(rx) => rx.try_recv(),
-                            Err(_) => return,
-                        };
-                        match flow {
-                            Ok(flow) => triage_one(shared, shard, flow, chans, &mut policy),
-                            Err(_) => return,
-                        }
-                    }
-                }
-                continue;
-            }
-            Err(RecvTimeoutError::Disconnected) => return,
-        };
-        shared.shards[shard].triage_depth.sub(1);
-        // Fresh connections anchor their header window at accept; woken
-        // and recycled ones were re-armed by whoever sent them here.
-        let started = if flow.conn.served == 0 {
-            flow.conn.accepted
-        } else {
-            Instant::now()
-        };
-        match flow.conn.read_head(shared.header_timeout) {
-            Err(err) => fail_head(shared, shard, &mut flow, err, started),
-            Ok(head) => triage_route(shared, shard, flow, head, started, chans, &mut policy),
-        }
-    }
-}
-
-fn triage_one(
-    shared: &Arc<Shared>,
-    shard: usize,
-    mut flow: Flow,
-    chans: &ShardChannels,
-    policy: &mut HandlerPolicy,
-) {
-    shared.shards[shard].triage_depth.sub(1);
-    let started = if flow.conn.served == 0 {
-        flow.conn.accepted
-    } else {
-        Instant::now()
-    };
-    match flow.conn.read_head(shared.header_timeout) {
-        Err(err) => fail_head(shared, shard, &mut flow, err, started),
-        Ok(head) => triage_route(shared, shard, flow, head, started, chans, policy),
-    }
-}
-
-fn triage_route(
-    shared: &Shared,
-    shard: usize,
-    mut flow: Flow,
-    head: RequestHead,
-    started: Instant,
-    chans: &ShardChannels,
-    policy: &mut HandlerPolicy,
-) {
-    let r = route(&head);
-    if r.is_fast_path() {
-        match respond(shared, shard, &mut flow, &head, r, started, false, policy) {
-            Disposition::Close => {}
-            Disposition::KeepAlive => {
-                continue_conn(shared, shard, flow, chans, TRIAGE_BURST, true, policy)
-            }
-        }
-    } else {
-        enqueue_work(shared, shard, flow, head, r, started, chans);
-    }
-}
-
-fn worker_loop(
-    shared: &Arc<Shared>,
-    shard: usize,
-    rx: &Mutex<Receiver<Job>>,
-    chans: &ShardChannels,
-) {
-    let _threads = CountGuard(&shared.live_threads);
-    let mut policy = HandlerPolicy {
-        retries: shared.retries,
-        deadline: None,
-        chaos: shared.chaos.clone(),
-    };
-    loop {
         let job = match rx.lock() {
             Ok(rx) => rx.recv_timeout(STAGE_TICK),
             Err(_) => return,
         };
-        let job = match job {
+        let Job {
+            mut flow,
+            head,
+            route,
+            started,
+        } = match job {
             Ok(job) => job,
-            Err(RecvTimeoutError::Timeout) => {
-                if shared.shutting_down() && shared.triage_live.load(Ordering::Acquire) == 0 {
-                    // Nothing can feed this queue anymore; drain it.
-                    loop {
-                        let job = match rx.lock() {
-                            Ok(rx) => rx.try_recv(),
-                            Err(_) => return,
-                        };
-                        match job {
-                            Ok(job) => work_one(shared, shard, job, chans, &mut policy),
-                            Err(_) => return,
-                        }
-                    }
-                }
-                continue;
-            }
+            Err(RecvTimeoutError::Timeout) => continue,
+            // The loop has exited and the queue is drained.
             Err(RecvTimeoutError::Disconnected) => return,
         };
-        work_one(shared, shard, job, chans, &mut policy);
+        shared.shards[shard].work_depth.sub(1);
+        // Blocking while a worker holds it: body reads, the linger and
+        // a stalled peer run on the socket's own timeouts.
+        let _ = flow.conn.set_nonblocking(false);
+        let disposition = respond(
+            shared,
+            shard,
+            &mut flow.conn,
+            &head,
+            route,
+            started,
+            true,
+            Some(&mut policy),
+        );
+        if disposition == Some(Disposition::KeepAlive) {
+            continue_conn(shared, shard, flow, home, &mut policy);
+        }
     }
 }
 
-fn work_one(
+/// A connection a shard loop holds: every connection no worker holds.
+struct Held {
+    flow: Flow,
+    /// When the connection last came in, got an answer or came back from
+    /// a worker; idle connections are closed `keepalive_timeout` after.
+    since: Instant,
+    /// Since when answers have waited for the peer to take them.
+    stalled: Option<Instant>,
+    /// This turn's readiness.
+    readable: bool,
+    writable: bool,
+    /// The peer closed its side.
+    eof: bool,
+    /// The last answer closes the connection once it is written.
+    closing: bool,
+}
+
+impl Held {
+    fn new(flow: Flow) -> Held {
+        Held {
+            flow,
+            since: Instant::now(),
+            stalled: None,
+            // A new connection may hold bytes and answers already.
+            readable: true,
+            writable: true,
+            eof: false,
+            closing: false,
+        }
+    }
+}
+
+/// A connection still open for requests that has no complete head yet
+/// but owes one: its first, or one partly buffered. Its header window
+/// runs.
+fn awaits_head(conn: &Conn, closing: bool) -> bool {
+    !closing && (conn.served == 0 || conn.has_buffered()) && !conn.head_ready()
+}
+
+/// What a loop does with a connection after driving it.
+enum Next {
+    Keep,
+    Close,
+    /// The parsed request needs a worker.
+    Queue(RequestHead, Route, Instant),
+}
+
+/// One shard's loop: a `poll(2)` over the wake fd, the listener and every
+/// held connection, then accept, take back what workers return, and
+/// drive each connection as far as it goes without blocking.
+fn shard_loop(
+    shared: &Arc<Shared>,
+    shard: usize,
+    listener: &TcpListener,
+    wake: &WakeRx,
+    back: &Receiver<Flow>,
+    work_tx: &SyncSender<Job>,
+) {
+    let _threads = CountGuard(&shared.live_threads);
+    let stats = &shared.shards[shard];
+    let mut held: Vec<Held> = Vec::new();
+    let mut set = PollSet::default();
+    loop {
+        let accepting = !shared.shutting_down();
+        set.clear();
+        set.push(wake, true, false);
+        set.push(listener, accepting, false);
+        for h in &held {
+            let conn = &h.flow.conn;
+            let read = !h.eof && !h.closing && conn.unwritten() < MAX_CORKED_BYTES;
+            set.push(conn.stream(), read, conn.unwritten() > 0);
+        }
+        let _ = set.wait(STAGE_TICK.as_millis() as i32);
+        if set.readable(0) {
+            wake.drain();
+        }
+        for (i, h) in held.iter_mut().enumerate() {
+            h.readable = set.readable(i + 2);
+            h.writable = set.writable(i + 2);
+        }
+        if accepting && set.readable(1) {
+            accept_ready(shared, shard, listener, &mut held);
+        }
+        while let Ok(mut flow) = back.try_recv() {
+            if flow.conn.set_nonblocking(true).is_ok() {
+                held.push(Held::new(flow));
+            }
+        }
+        let mut i = 0;
+        while i < held.len() {
+            match drive(shared, shard, &mut held[i]) {
+                Next::Keep => i += 1,
+                Next::Close => drop(held.swap_remove(i)),
+                Next::Queue(head, route, started) => {
+                    let h = held.swap_remove(i);
+                    if let Some(h) = queue(shared, shard, h, head, route, started, work_tx) {
+                        held.push(h);
+                    }
+                }
+            }
+        }
+        let awaiting = held
+            .iter()
+            .filter(|h| awaits_head(&h.flow.conn, h.closing))
+            .count();
+        let idle = held
+            .iter()
+            .filter(|h| !h.closing && h.flow.conn.served > 0 && !h.flow.conn.has_buffered())
+            .count();
+        stats.triage_depth.set(awaiting as i64);
+        stats.parked.set(idle as i64);
+        if !accepting && held.is_empty() {
+            return;
+        }
+    }
+}
+
+/// Accept until the listener would block. Past [`ACCEPT_BACKLOG`]
+/// connections awaiting a first head, a new one gets a canned 503
+/// without a read — one best-effort nonblocking write, so the reject
+/// path costs nothing a flood can amplify.
+fn accept_ready(shared: &Arc<Shared>, shard: usize, listener: &TcpListener, held: &mut Vec<Held>) {
+    let mut fresh = held
+        .iter()
+        .filter(|h| !h.closing && h.flow.conn.served == 0)
+        .count();
+    loop {
+        let stream = match listener.accept() {
+            Ok((stream, _peer)) => stream,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
+            // Transient accept failures (EMFILE under flood): back off a
+            // beat instead of spinning.
+            Err(_) => {
+                std::thread::sleep(Duration::from_millis(5));
+                return;
+            }
+        };
+        shared.stats.accepted.fetch_add(1, Ordering::Relaxed);
+        if fresh >= ACCEPT_BACKLOG {
+            let since = Instant::now();
+            let _ = stream.set_nonblocking(true);
+            let _ = (&stream).write(RAW_SHED_503);
+            shared.finish(shard, "-", "-", 503, since, "shed");
+            continue;
+        }
+        shared.in_flight.fetch_add(1, Ordering::Release);
+        let mut flow = Flow {
+            conn: Conn::new(stream),
+            _ticket: Ticket(Arc::clone(shared)),
+        };
+        if flow.conn.set_nonblocking(true).is_ok() {
+            held.push(Held::new(flow));
+            fresh += 1;
+        }
+    }
+}
+
+/// Move one held connection on as far as it goes without blocking:
+/// write what the peer takes, read what it sent, answer every complete
+/// head that needs no handler, and enforce the deadlines.
+fn drive(shared: &Shared, shard: usize, h: &mut Held) -> Next {
+    let conn = &mut h.flow.conn;
+    let unwritten = conn.unwritten();
+    if h.writable && conn.flush().is_err() {
+        return Next::Close;
+    }
+    if conn.unwritten() < unwritten {
+        // The peer is taking answers: its write timeout starts over.
+        h.stalled = None;
+    }
+    if h.readable && !h.eof && !h.closing {
+        // A read error leaves nobody to answer either.
+        h.eof = conn.read_ready().unwrap_or(true);
+    }
+    // Answers cork while further heads are buffered; only a peer that
+    // leaves MAX_CORKED_BYTES untaken stops the answering.
+    while !h.closing && conn.head_ready() && conn.unwritten() < MAX_CORKED_BYTES {
+        let started = request_start(conn);
+        let head = match conn.read_head(shared.header_timeout) {
+            Ok(head) => head,
+            Err(err) => {
+                fail_head(shared, shard, conn, err);
+                h.closing = true;
+                break;
+            }
+        };
+        let r = route(&head);
+        match respond(shared, shard, conn, &head, r, started, false, None) {
+            None => return Next::Queue(head, r, started),
+            Some(Disposition::KeepAlive) => h.since = Instant::now(),
+            Some(Disposition::Close) => h.closing = true,
+        }
+    }
+    if h.eof && !h.closing && !conn.head_ready() {
+        // The peer is gone with nothing left to answer; a hangup between
+        // requests is clean, anything else lost its connection.
+        let err = if conn.served == 0 || conn.has_buffered() {
+            HeadError::ConnectionLost
+        } else {
+            HeadError::Closed
+        };
+        fail_head(shared, shard, conn, err);
+        h.closing = true;
+    }
+    let now = Instant::now();
+    if awaits_head(conn, h.closing) {
+        if now >= conn.anchor() + shared.header_timeout {
+            fail_head(shared, shard, conn, HeadError::TimedOut);
+            h.closing = true;
+        }
+    } else if !h.closing
+        && conn.unwritten() == 0
+        && (shared.shutting_down() || now.duration_since(h.since) >= shared.keepalive_timeout)
+    {
+        // Idle between requests: nothing to answer and nothing to log.
+        return Next::Close;
+    }
+    if conn.unwritten() == 0 {
+        return if h.closing { Next::Close } else { Next::Keep };
+    }
+    let stalled = *h.stalled.get_or_insert(now);
+    if now.duration_since(stalled) >= WRITE_TIMEOUT {
+        Next::Close
+    } else {
+        Next::Keep
+    }
+}
+
+/// Hand a request that needs a handler to the shard's workers, with its
+/// connection. A full queue answers `503` instead and returns the
+/// connection, to be held until that answer is written.
+fn queue(
     shared: &Shared,
     shard: usize,
-    job: Job,
-    chans: &ShardChannels,
-    policy: &mut HandlerPolicy,
-) {
-    let Job {
-        mut flow,
+    mut h: Held,
+    head: RequestHead,
+    route: Route,
+    started: Instant,
+    work_tx: &SyncSender<Job>,
+) -> Option<Held> {
+    // The request may wait in the queue: corked answers start out first.
+    let _ = h.flow.conn.flush();
+    // add-before-send: the worker's matching `sub` can run the instant
+    // the job lands, and a decrement racing ahead of this increment
+    // would show a negative depth in /v1/stats.
+    shared.shards[shard].work_depth.add(1);
+    let job = Job {
+        flow: h.flow,
         head,
         route,
         started,
-    } = job;
-    shared.shards[shard].work_depth.sub(1);
-    match respond(
-        shared, shard, &mut flow, &head, route, started, true, policy,
-    ) {
-        Disposition::Close => {}
-        Disposition::KeepAlive => {
-            continue_conn(shared, shard, flow, chans, WORKER_BURST, false, policy)
+    };
+    match work_tx.try_send(job) {
+        Ok(()) => None,
+        Err(TrySendError::Full(job) | TrySendError::Disconnected(job)) => {
+            shared.shards[shard].work_depth.sub(1);
+            h.flow = job.flow;
+            let resp = Response::shed("queue-full");
+            let _ = h.flow.conn.write_response(&resp, WRITE_TIMEOUT, true);
+            shared.finish(
+                shard,
+                &job.head.method,
+                &job.head.path,
+                503,
+                started,
+                "shed",
+            );
+            h.closing = true;
+            Some(h)
         }
     }
-}
-
-/// One parked keep-alive connection.
-struct Parked {
-    flow: Flow,
-    since: Instant,
-}
-
-fn parker_loop(shared: &Arc<Shared>, shard: usize, rx: &Receiver<Flow>, chans: &ShardChannels) {
-    let _threads = CountGuard(&shared.live_threads);
-    let mut parked: Vec<Parked> = Vec::new();
-    let mut disconnected = false;
-    loop {
-        if shared.shutting_down() {
-            // Idle connections have no in-flight request; drain closes
-            // them immediately.
-            shared.shards[shard].parked.sub(parked.len() as i64);
-            return;
-        }
-        // Intake: block briefly when idle, otherwise just sweep up
-        // whatever accumulated while polling.
-        if parked.is_empty() && !disconnected {
-            match rx.recv_timeout(STAGE_TICK) {
-                Ok(flow) => admit_parked(shared, shard, flow, &mut parked, chans),
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => disconnected = true,
-            }
-        }
-        while let Ok(flow) = rx.try_recv() {
-            admit_parked(shared, shard, flow, &mut parked, chans);
-        }
-        if parked.is_empty() {
-            if disconnected {
-                return;
-            }
-            continue;
-        }
-        // Readiness sweep: wake anything readable (or hung up) back
-        // into triage with a fresh header window.
-        for idx in sweep_ready(&parked).into_iter().rev() {
-            let mut entry = parked.swap_remove(idx);
-            shared.shards[shard].parked.sub(1);
-            entry.flow.conn.rearm();
-            // add-before-send: see the acceptor's gauge ordering note.
-            shared.shards[shard].triage_depth.add(1);
-            match chans.triage_tx.try_send(entry.flow) {
-                Ok(()) => {}
-                Err(TrySendError::Full(mut f) | TrySendError::Disconnected(mut f)) => {
-                    shared.shards[shard].triage_depth.sub(1);
-                    let resp = Response::shed("wake-queue-full");
-                    let _ = f.conn.write_response(&resp, WRITE_TIMEOUT, true);
-                    shared.finish(shard, "-", "-", 503, Instant::now(), "shed");
-                }
-            }
-        }
-        // Cull idlers past the keep-alive window (silent close: between
-        // requests there is nothing to answer and nothing to log).
-        let keepalive = shared.keepalive_timeout;
-        let before = parked.len();
-        parked.retain(|p| p.since.elapsed() < keepalive);
-        let culled = before - parked.len();
-        if culled > 0 {
-            shared.shards[shard].parked.sub(culled as i64);
-        }
-    }
-}
-
-fn admit_parked(
-    shared: &Shared,
-    shard: usize,
-    flow: Flow,
-    parked: &mut Vec<Parked>,
-    chans: &ShardChannels,
-) {
-    if flow.conn.has_buffered() {
-        // Never park buffered bytes — the poll sweep only sees *new*
-        // socket data. Straight back to triage (add-before-send: see
-        // the acceptor's gauge ordering note).
-        shared.shards[shard].triage_depth.add(1);
-        match chans.triage_tx.try_send(flow) {
-            Ok(()) => {}
-            Err(TrySendError::Full(mut f) | TrySendError::Disconnected(mut f)) => {
-                shared.shards[shard].triage_depth.sub(1);
-                let resp = Response::shed("wake-queue-full");
-                let _ = f.conn.write_response(&resp, WRITE_TIMEOUT, true);
-                shared.finish(shard, "-", "-", 503, Instant::now(), "shed");
-            }
-        }
-        return;
-    }
-    shared.shards[shard].parked.add(1);
-    parked.push(Parked {
-        flow,
-        since: Instant::now(),
-    });
-}
-
-/// Indices of parked connections with pending socket data (or a hangup).
-#[cfg(unix)]
-fn sweep_ready(parked: &[Parked]) -> Vec<usize> {
-    use std::os::fd::AsRawFd;
-    let fds: Vec<i32> = parked
-        .iter()
-        .map(|p| p.flow.conn.stream().as_raw_fd())
-        .collect();
-    crate::net::poll_readable(&fds, 5).unwrap_or_default()
-}
-
-#[cfg(not(unix))]
-fn sweep_ready(parked: &[Parked]) -> Vec<usize> {
-    // No poll(2): a nonblocking 1-byte peek per connection, plus a nap
-    // to keep the sweep from spinning.
-    std::thread::sleep(Duration::from_millis(5));
-    let mut ready = Vec::new();
-    for (i, p) in parked.iter().enumerate() {
-        let stream = p.flow.conn.stream();
-        if stream.set_nonblocking(true).is_err() {
-            ready.push(i);
-            continue;
-        }
-        let mut byte = [0u8; 1];
-        match stream.peek(&mut byte) {
-            Ok(_) => ready.push(i),
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
-            Err(_) => ready.push(i),
-        }
-        let _ = stream.set_nonblocking(false);
-    }
-    ready
 }

@@ -1,7 +1,7 @@
 //! The durable write plane behind `POST /v1/events`.
 //!
-//! Admission happens at triage, before the request ever holds a worker
-//! or a queue slot, in this order (cheapest rejection first):
+//! Admission happens in the shard loop, before the request ever holds a
+//! worker or a queue slot, in this order (cheapest rejection first):
 //!
 //! 1. write plane disabled → `403` (the route exists, writes don't);
 //! 2. missing bearer token → `401`; unknown token → `403`;
@@ -124,7 +124,7 @@ impl WriteState {
         self.cfg.max_body_bytes
     }
 
-    /// Admission control, run at triage. `None` means the request may
+    /// Admission control, run by the shard loop. `None` means the request may
     /// proceed to the work queue; `Some` is the rejection to write
     /// straight back.
     pub fn admit(&self, head: &RequestHead, live: &LiveQuery) -> Option<Response> {

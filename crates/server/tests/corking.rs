@@ -98,6 +98,48 @@ fn pipelined_gets_leave_in_one_write() {
 }
 
 #[test]
+fn pipelined_hits_after_an_idle_spell_leave_in_one_write() {
+    let _serial = serial();
+    let server = start(ServerConfig::default());
+    let addr = server.local_addr().to_string();
+    let q = query();
+    let metric_days = q.metric_days();
+    let days: Vec<u32> = (0..16)
+        .map(|i| metric_days[i % metric_days.len()])
+        .collect();
+    let burst: String = days
+        .iter()
+        .map(|d| get(&format!("/v1/metrics/{d}")))
+        .collect();
+
+    let mut client = HttpClient::connect(&addr).unwrap();
+    client.send_raw(burst.as_bytes()).unwrap();
+    for _ in &days {
+        assert_eq!(client.read_response(CLIENT_TIMEOUT).unwrap().status, 200);
+    }
+    // Idle well past the worker linger: the burst below reaches a
+    // connection no worker holds any more.
+    std::thread::sleep(Duration::from_millis(20));
+
+    let before = writes();
+    client.send_raw(burst.as_bytes()).unwrap();
+    for day in &days {
+        let resp = client.read_response(CLIENT_TIMEOUT).unwrap();
+        assert_eq!(resp.status, 200);
+        assert_eq!(resp.body, q.metrics_row_csv(*day).unwrap().into_bytes());
+    }
+    let used = writes() - before;
+    assert!(
+        (1..=2).contains(&used),
+        "16 pipelined answers after an idle spell took {used} socket writes"
+    );
+
+    drop(client);
+    server.request_shutdown();
+    assert!(server.join().clean());
+}
+
+#[test]
 fn answer_ahead_of_a_slow_cache_miss_is_not_held() {
     let _serial = serial();
     let q = query();

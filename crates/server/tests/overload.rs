@@ -818,3 +818,113 @@ fn idle_keep_alive_connections_park_wake_and_cull() {
     server.request_shutdown();
     assert!(server.join().clean());
 }
+
+#[test]
+fn silent_peers_and_loris_drips_do_not_delay_probes() {
+    let server = start(ServerConfig::default());
+    let addr = server.local_addr().to_string();
+    let q = query();
+    let path = format!("/v1/metrics/{}", q.metric_days()[0]);
+    // Warm the response cache: the data probe below is a hit.
+    assert_eq!(http_get(&addr, &path, CLIENT_TIMEOUT).unwrap().status, 200);
+
+    // Eight connections that never send a byte and four that drip one
+    // header byte every 20 ms, all inside their 2 s header window.
+    let silent: Vec<std::net::TcpStream> = (0..8)
+        .map(|_| std::net::TcpStream::connect(&addr).unwrap())
+        .collect();
+    let lorises: Vec<_> = (0..4)
+        .map(|_| {
+            let addr = addr.clone();
+            std::thread::spawn(move || {
+                slow_loris(
+                    &addr,
+                    Duration::from_millis(20),
+                    64 * 1024,
+                    Duration::from_secs(30),
+                )
+                .unwrap()
+            })
+        })
+        .collect();
+    std::thread::sleep(Duration::from_millis(200));
+
+    for probe in ["/healthz", path.as_str()] {
+        let started = Instant::now();
+        let resp = http_get(&addr, probe, CLIENT_TIMEOUT).unwrap();
+        let waited = started.elapsed();
+        assert_eq!(resp.status, 200, "{probe}");
+        assert!(
+            waited < Duration::from_millis(250),
+            "{probe} waited {waited:?} behind peers that send nothing"
+        );
+    }
+    for loris in lorises {
+        let out = loris.join().unwrap();
+        assert!(
+            out.server_terminated(),
+            "a loris outlived the server: {out:?}"
+        );
+        if let ChaosHttpOutcome::Answered { response, .. } = &out {
+            assert_eq!(response.status, 408);
+        }
+    }
+    drop(silent);
+    server.request_shutdown();
+    assert!(server.join().clean());
+}
+
+#[test]
+fn pipeliners_that_never_read_do_not_delay_probes() {
+    use osn_graph::testutil::HttpClient;
+    use osn_server::AccessLog;
+    use std::io::Write;
+
+    let server = start(ServerConfig {
+        access_log: AccessLog::to_sink(Box::new(std::io::sink())),
+        ..ServerConfig::default()
+    });
+    let addr = server.local_addr().to_string();
+
+    // Two peers pipeline 100,000 probes each and never read an answer:
+    // their answers back up until the server stops taking requests from
+    // them. The peers stay connected until the probes are done.
+    let burst = "GET /healthz HTTP/1.1\r\nHost: osn\r\n\r\n".repeat(100_000);
+    let hogs: Vec<std::net::TcpStream> = (0..2)
+        .map(|_| std::net::TcpStream::connect(&addr).unwrap())
+        .collect();
+    let writers: Vec<_> = hogs
+        .iter()
+        .map(|hog| {
+            let mut stream = hog.try_clone().unwrap();
+            let burst = burst.clone();
+            std::thread::spawn(move || {
+                let _ = stream.write_all(burst.as_bytes());
+            })
+        })
+        .collect();
+    std::thread::sleep(Duration::from_millis(300));
+
+    let mut client = HttpClient::connect(&addr).unwrap();
+    for _ in 0..3 {
+        let started = Instant::now();
+        let resp = client.get("/healthz", CLIENT_TIMEOUT).unwrap();
+        let waited = started.elapsed();
+        assert_eq!(resp.status, 200);
+        assert!(
+            waited < Duration::from_millis(250),
+            "/healthz waited {waited:?} behind peers that never read"
+        );
+        std::thread::sleep(Duration::from_millis(500));
+    }
+    drop(client);
+    for hog in &hogs {
+        let _ = hog.shutdown(std::net::Shutdown::Both);
+    }
+    for writer in writers {
+        writer.join().unwrap();
+    }
+    drop(hogs);
+    server.request_shutdown();
+    assert!(server.join().clean());
+}
