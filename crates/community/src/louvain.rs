@@ -17,8 +17,19 @@
 //! run up dramatically (the assignment is already near-optimal) and ties
 //! community identities across snapshots, which is what makes Jaccard
 //! matching in [`crate::tracker`] stable.
+//!
+//! **Level graphs.** Level 0 is the snapshot's [`CsrGraph`] itself,
+//! borrowed: every weight is an implicit 1.0 and there are no self-loops,
+//! so the run adds nothing per adjacency entry. Each aggregated level is
+//! flat CSR (offsets, targets, weights: 12 B per entry), built without
+//! hash maps. A warm-started run first refines each warm community on a
+//! prefiltered view that keeps only the edges inside warm communities
+//! (4 B per kept entry). Every sum adds the same terms in the same order
+//! as a walk over nested per-node `(neighbour, weight)` lists, the form
+//! `tests/louvain_differential.rs` keeps as its oracle, so partitions and
+//! modularity bits match it exactly.
 
-use crate::modularity::modularity;
+use crate::modularity::{modularity, modularity_from_counts};
 use crate::partition::Partition;
 use osn_graph::CsrGraph;
 use osn_stats::sampling::{rng_from_seed, shuffle};
@@ -71,46 +82,159 @@ pub struct LouvainResult {
     pub levels: usize,
 }
 
-/// Weighted multigraph used for aggregated levels.
-struct WGraph {
-    /// Neighbour lists (no self entries): `(neighbor, weight)`.
-    adj: Vec<Vec<(u32, f64)>>,
-    /// Self-loop weight per node (counted once).
-    self_w: Vec<f64>,
-    /// Weighted degree `k_i` (self-loops count twice).
-    node_w: Vec<f64>,
+/// One level of the Louvain hierarchy, as [`local_moving`], [`aggregate`]
+/// and [`modularity_weighted`] read it. Three shapes implement it: the
+/// snapshot itself (level 0), the refinement's within-warm-community view
+/// of it, and the flat aggregated levels.
+trait Level {
+    /// Number of level nodes.
+    fn len(&self) -> usize;
     /// Total edge weight `m` (each undirected edge once, self-loops once).
+    fn total_w(&self) -> f64;
+    /// Self-loop weight of `u` (counted once).
+    fn self_w(&self, u: usize) -> f64;
+    /// Weighted degree `k_u` (self-loops count twice).
+    fn strength(&self, u: usize) -> f64;
+    /// Whether `u` has any adjacency entry (in the refinement view: in the
+    /// whole snapshot).
+    fn has_neighbours(&self, u: usize) -> bool;
+    /// `u`'s adjacency entries `(neighbour, weight)`, self-loop excluded.
+    fn entries(&self, u: usize) -> impl Iterator<Item = (u32, f64)>;
+}
+
+/// Level 0 is the snapshot itself: every weight is an implicit 1.0 and
+/// there are no self-loops.
+impl Level for CsrGraph {
+    fn len(&self) -> usize {
+        self.num_nodes()
+    }
+    fn total_w(&self) -> f64 {
+        self.num_edges() as f64
+    }
+    fn self_w(&self, _u: usize) -> f64 {
+        0.0
+    }
+    fn strength(&self, u: usize) -> f64 {
+        self.degree(u as u32) as f64
+    }
+    fn has_neighbours(&self, u: usize) -> bool {
+        self.degree(u as u32) > 0
+    }
+    fn entries(&self, u: usize) -> impl Iterator<Item = (u32, f64)> {
+        self.neighbors(u as u32).iter().map(|&v| (v, 1.0))
+    }
+}
+
+/// The refinement's view of the snapshot: each node's neighbours inside
+/// its own warm community, in snapshot order, with the whole snapshot's
+/// degrees, neighbour test and edge count.
+///
+/// The refinement's rule is that a node joins a community only when that
+/// community carries the node's warm label, or when it takes an empty
+/// label, which then gets the node's warm label. A static filter is
+/// enough to enforce it: `comm_tot` sums are exact integers, so a label
+/// is empty only when every member has degree 0, and such nodes are
+/// nobody's neighbour. Every neighbour `v` of `u` therefore sits in a
+/// community labelled `warm[v]`, and the rule reduces to
+/// `warm[v] == warm[u]`.
+struct WarmView<'a> {
+    graph: &'a CsrGraph,
+    offsets: Vec<usize>,
+    targets: Vec<u32>,
+}
+
+impl<'a> WarmView<'a> {
+    /// Builds the view of `g` for the warm partition `warm`, and from the
+    /// same pass (which compares the labels of every edge's endpoints
+    /// anyway) the warm partition's modularity on `g`, equal to
+    /// [`modularity`]`(g, warm)`: the same integer counts through the same
+    /// float loop.
+    fn new(graph: &'a CsrGraph, warm: &Partition) -> (Self, f64) {
+        let n = graph.num_nodes();
+        let labels = warm.assignments();
+        let mut intra = vec![0u64; warm.num_communities()];
+        let mut deg = vec![0u64; warm.num_communities()];
+        let mut offsets = Vec::with_capacity(n + 1);
+        offsets.push(0);
+        let mut targets = Vec::with_capacity(2 * graph.num_edges() as usize);
+        for u in 0..n as u32 {
+            let c = labels[u as usize];
+            deg[c as usize] += graph.degree(u) as u64;
+            for &v in graph.neighbors(u) {
+                if labels[v as usize] == c {
+                    targets.push(v);
+                    intra[c as usize] += (v > u) as u64;
+                }
+            }
+            offsets.push(targets.len());
+        }
+        let warm_q = modularity_from_counts(&intra, &deg, graph.num_edges() as f64);
+        let view = WarmView {
+            graph,
+            offsets,
+            targets,
+        };
+        (view, warm_q)
+    }
+}
+
+impl Level for WarmView<'_> {
+    fn len(&self) -> usize {
+        self.graph.len()
+    }
+    fn total_w(&self) -> f64 {
+        self.graph.total_w()
+    }
+    fn self_w(&self, _u: usize) -> f64 {
+        0.0
+    }
+    fn strength(&self, u: usize) -> f64 {
+        self.graph.strength(u)
+    }
+    fn has_neighbours(&self, u: usize) -> bool {
+        self.graph.has_neighbours(u)
+    }
+    fn entries(&self, u: usize) -> impl Iterator<Item = (u32, f64)> {
+        self.targets[self.offsets[u]..self.offsets[u + 1]]
+            .iter()
+            .map(|&v| (v, 1.0))
+    }
+}
+
+/// An aggregated level as flat CSR: node `u`'s neighbours are
+/// `targets[offsets[u]..offsets[u + 1]]`, ascending, with their summed
+/// weights at the same positions of `weights`.
+struct Aggregated {
+    offsets: Vec<usize>,
+    targets: Vec<u32>,
+    weights: Vec<f64>,
+    self_w: Vec<f64>,
+    strength: Vec<f64>,
     total_w: f64,
 }
 
-impl WGraph {
-    fn from_csr(g: &CsrGraph) -> Self {
-        let n = g.num_nodes();
-        let mut adj = vec![Vec::new(); n];
-        for u in 0..n as u32 {
-            let neigh = g.neighbors(u);
-            let mut list = Vec::with_capacity(neigh.len());
-            for &v in neigh {
-                list.push((v, 1.0));
-            }
-            adj[u as usize] = list;
-        }
-        let self_w = vec![0.0; n];
-        let node_w: Vec<f64> = adj
-            .iter()
-            .map(|l| l.iter().map(|&(_, w)| w).sum())
-            .collect();
-        let total_w = g.num_edges() as f64;
-        WGraph {
-            adj,
-            self_w,
-            node_w,
-            total_w,
-        }
-    }
-
+impl Level for Aggregated {
     fn len(&self) -> usize {
-        self.adj.len()
+        self.strength.len()
+    }
+    fn total_w(&self) -> f64 {
+        self.total_w
+    }
+    fn self_w(&self, u: usize) -> f64 {
+        self.self_w[u]
+    }
+    fn strength(&self, u: usize) -> f64 {
+        self.strength[u]
+    }
+    fn has_neighbours(&self, u: usize) -> bool {
+        self.offsets[u + 1] > self.offsets[u]
+    }
+    fn entries(&self, u: usize) -> impl Iterator<Item = (u32, f64)> {
+        let range = self.offsets[u]..self.offsets[u + 1];
+        self.targets[range.clone()]
+            .iter()
+            .copied()
+            .zip(self.weights[range].iter().copied())
     }
 }
 
@@ -132,16 +256,15 @@ pub fn louvain(g: &CsrGraph, cfg: &LouvainConfig, init: Option<&Partition>) -> L
     // node_to_comm[v] maps ORIGINAL node v to its *level node* before each
     // local-moving phase (identity at level 0) and to its community after
     // composing with that phase's result.
-    let mut node_to_comm: Vec<u32> = (0..n as u32).collect();
+    let mut node_to_comm: Vec<u32> = identity(n);
 
-    let mut level_graph = WGraph::from_csr(g);
-    // Kept so the final result can never score below the warm start
-    // (fragment-and-remerge occasionally lands in a worse optimum).
-    let mut warm_backup: Option<Vec<u32>> = None;
-    // level_init: initial community of each *level node* — the warm-start
-    // partition at level 0 (incremental mode), singletons at deeper levels
-    // (the aggregation itself already encodes the grouping).
-    let mut level_init: Vec<u32> = match init {
+    // level_init: initial community of each *level node* — the refined
+    // warm-start partition at level 0 (incremental mode), singletons at
+    // deeper levels (the aggregation itself already encodes the grouping).
+    // `warm` keeps the warm partition and its modularity, so the result
+    // can never score below the warm start (fragment-and-remerge
+    // occasionally lands in a worse optimum).
+    let (mut level_init, mut prev_q, warm) = match init {
         Some(p) => {
             assert_eq!(p.num_nodes(), n, "init partition must cover the graph");
             // Degree-0 nodes contribute nothing to modularity but would
@@ -156,26 +279,30 @@ pub fn louvain(g: &CsrGraph, cfg: &LouvainConfig, init: Option<&Partition>) -> L
                     next += 1;
                 }
             }
-            let warm_assign = Partition::from_assignments(&raw).assignments().to_vec();
-            let warm = warm_assign;
+            let warm = Partition::from_assignments(&raw);
             // Leiden-style refinement: re-cluster each warm-start community
-            // internally, starting from singletons with moves constrained to
-            // stay inside the community. Neighbour-only local moving cannot
-            // split a cohesive-looking community (every single-node exit is
-            // modularity-negative), so without this step a warm-started run
-            // could never track community splits. The main loop below will
-            // re-merge the refined chunks through aggregation whenever that
-            // is modularity-positive, so stable communities keep tracking
-            // cleanly.
-            let (refined, _, _) =
-                local_moving(&level_graph, &identity(n), cfg, &mut rng, Some(&warm));
-            warm_backup = Some(warm);
-            refined
+            // internally, starting from singletons, on the view that holds
+            // only edges inside warm communities. Neighbour-only local
+            // moving cannot split a cohesive-looking community (every
+            // single-node exit is modularity-negative), so without this
+            // step a warm-started run could never track community splits.
+            // The main loop below will re-merge the refined chunks through
+            // aggregation whenever that is modularity-positive, so stable
+            // communities keep tracking cleanly. Nodes with edges share a
+            // refined community only if they share a warm one, so the view
+            // holds every intra-community edge in snapshot order and the
+            // returned modularity is the snapshot's.
+            let (view, warm_q) = WarmView::new(g, &warm);
+            let (refined, _, refined_q) = local_moving(&view, identity(n), cfg, &mut rng);
+            (refined, refined_q, Some((warm, warm_q)))
         }
-        None => (0..n as u32).collect(),
+        None => {
+            let singletons = identity(n);
+            let q = modularity_weighted(g, &singletons);
+            (singletons, q, None)
+        }
     };
     let mut levels = 0;
-    let mut prev_q = modularity_weighted(&level_graph, &level_init);
     // Warm-started runs must complete at least two levels: the refinement
     // pass above deliberately fragments each warm community into chunks,
     // and only the first aggregation + second local-moving phase can fuse
@@ -183,9 +310,14 @@ pub fn louvain(g: &CsrGraph, cfg: &LouvainConfig, init: Option<&Partition>) -> L
     // boundaries profitably). Breaking on δ before that would emit the
     // fragmented partition and make tracking churn.
     let min_levels = if init.is_some() { 2 } else { 1 };
+    // `None` while the level graph is the snapshot itself.
+    let mut level: Option<Aggregated> = None;
 
     loop {
-        let (assign, moved, q_after) = local_moving(&level_graph, &level_init, cfg, &mut rng, None);
+        let (assign, moved, q_after) = match &level {
+            None => local_moving(g, level_init, cfg, &mut rng),
+            Some(l) => local_moving(l, level_init, cfg, &mut rng),
+        };
 
         // Compose: node_to_comm maps original -> level node; `assign` maps
         // level node -> community. After this, original -> community.
@@ -201,28 +333,29 @@ pub fn louvain(g: &CsrGraph, cfg: &LouvainConfig, init: Option<&Partition>) -> L
         }
 
         // Aggregate: communities become nodes.
-        let (agg, renumber) = aggregate(&level_graph, &assign);
+        let (agg, renumber) = match &level {
+            None => aggregate(g, &assign),
+            Some(l) => aggregate(l, &assign),
+        };
         // Remap original nodes through the renumbering.
         for c in node_to_comm.iter_mut() {
             *c = renumber[*c as usize];
         }
-        if agg.len() == level_graph.len() {
+        if agg.len() == assign.len() {
             break; // no shrinkage: nothing further to gain
         }
-        level_graph = agg;
-        level_init = (0..level_graph.len() as u32).collect();
+        level_init = identity(agg.len());
+        level = Some(agg);
     }
 
     let partition = Partition::from_assignments(&node_to_comm);
     let q = modularity(g, &partition);
     // Monotonicity guard: a warm-started run must never return something
     // worse than the warm partition itself scored on this graph.
-    if let Some(warm) = warm_backup {
-        let warm_partition = Partition::from_assignments(&warm);
-        let warm_q = modularity(g, &warm_partition);
+    if let Some((warm, warm_q)) = warm {
         if warm_q > q {
             return LouvainResult {
-                partition: warm_partition,
+                partition: warm,
                 modularity: warm_q,
                 levels,
             };
@@ -235,20 +368,20 @@ pub fn louvain(g: &CsrGraph, cfg: &LouvainConfig, init: Option<&Partition>) -> L
     }
 }
 
-/// Weighted modularity of an assignment on a `WGraph`.
-fn modularity_weighted(g: &WGraph, assign: &[u32]) -> f64 {
-    let two_m = 2.0 * g.total_w;
+/// Weighted modularity of an assignment on a level graph.
+fn modularity_weighted<L: Level>(g: &L, assign: &[u32]) -> f64 {
+    let two_m = 2.0 * g.total_w();
     if two_m == 0.0 {
         return 0.0;
     }
     let nc = assign.iter().copied().max().map_or(0, |m| m as usize + 1);
     let mut sigma_in = vec![0.0; nc]; // doubled intra weight
     let mut sigma_tot = vec![0.0; nc];
-    for u in 0..g.len() {
-        let cu = assign[u] as usize;
-        sigma_tot[cu] += g.node_w[u] + 2.0 * g.self_w[u];
-        sigma_in[cu] += 2.0 * g.self_w[u];
-        for &(v, w) in &g.adj[u] {
+    for (u, &cu) in assign.iter().enumerate() {
+        let cu = cu as usize;
+        sigma_tot[cu] += g.strength(u);
+        sigma_in[cu] += 2.0 * g.self_w(u);
+        for (v, w) in g.entries(u) {
             if assign[v as usize] as usize == cu {
                 sigma_in[cu] += w; // each intra edge visited from both sides
             }
@@ -266,30 +399,23 @@ fn identity(n: usize) -> Vec<u32> {
     (0..n as u32).collect()
 }
 
-/// One complete local-moving phase. Returns the final assignment (labels
-/// are arbitrary, not renumbered), whether any node moved, and the
-/// modularity after moving.
-///
-/// When `constraint` is `Some(labels)`, `init` must be the identity
-/// (singletons) and a node may only join communities whose members share
-/// its constraint label — this is the Leiden-style refinement pass that
-/// re-clusters each warm-start community internally.
-fn local_moving(
-    g: &WGraph,
-    init: &[u32],
+/// One complete local-moving phase from the assignment `assign`. Returns
+/// the final assignment (labels are arbitrary, not renumbered), whether
+/// any node moved, and the modularity after moving.
+fn local_moving<L: Level>(
+    g: &L,
+    mut assign: Vec<u32>,
     cfg: &LouvainConfig,
     rng: &mut rand::rngs::SmallRng,
-    constraint: Option<&[u32]>,
 ) -> (Vec<u32>, bool, f64) {
     let n = g.len();
-    let two_m = 2.0 * g.total_w;
-    let mut assign = init.to_vec();
+    let two_m = 2.0 * g.total_w();
     let nc = assign.iter().copied().max().map_or(0, |m| m as usize + 1);
     let mut comm_tot = vec![0.0; nc.max(n)];
-    for u in 0..n {
-        comm_tot[assign[u] as usize] += g.node_w[u] + 2.0 * g.self_w[u];
+    for (u, &c) in assign.iter().enumerate() {
+        comm_tot[c as usize] += g.strength(u);
     }
-    let mut order: Vec<u32> = (0..n as u32).collect();
+    let mut order: Vec<u32> = identity(n);
     let mut any_moved = false;
 
     // Scratch: neighbour-community weights, sparse via touched list.
@@ -305,21 +431,6 @@ fn local_moving(
         .filter(|&c| comm_tot[c as usize] == 0.0)
         .collect();
 
-    // Per-community constraint label (refinement mode only). Communities
-    // start as singletons there, so community label u belongs to node u.
-    let mut comm_constraint: Vec<u32> = match constraint {
-        Some(labels) => {
-            debug_assert!(
-                init.iter().enumerate().all(|(i, &c)| c as usize == i),
-                "refinement requires a singleton init"
-            );
-            let mut v = labels.to_vec();
-            v.resize(comm_tot.len(), u32::MAX);
-            v
-        }
-        None => Vec::new(),
-    };
-
     if two_m == 0.0 {
         let q = modularity_weighted(g, &assign);
         return (assign, false, q);
@@ -331,21 +442,14 @@ fn local_moving(
         let mut moved_this_sweep = false;
         for &u in &order {
             let ui = u as usize;
-            let k_u = g.node_w[ui] + 2.0 * g.self_w[ui];
-            if g.adj[ui].is_empty() {
+            if !g.has_neighbours(ui) {
                 continue;
             }
+            let k_u = g.strength(ui);
             let old_c = assign[ui];
-            // Collect weights to neighbouring communities (in refinement
-            // mode, only communities sharing this node's constraint label
-            // are candidates).
-            for &(v, w) in &g.adj[ui] {
+            // Collect weights to neighbouring communities.
+            for (v, w) in g.entries(ui) {
                 let c = assign[v as usize];
-                if let Some(labels) = constraint {
-                    if comm_constraint[c as usize] != labels[ui] {
-                        continue;
-                    }
-                }
                 if w_to[c as usize] == 0.0 {
                     touched.push(c);
                 }
@@ -376,9 +480,6 @@ fn local_moving(
                     if comm_tot[label as usize] == 0.0 {
                         best_c = label;
                         best_s = 0.0;
-                        if let Some(labels) = constraint {
-                            comm_constraint[label as usize] = labels[ui];
-                        }
                         break;
                     }
                 }
@@ -408,9 +509,14 @@ fn local_moving(
     (assign, any_moved, q)
 }
 
-/// Collapse communities into nodes. Returns the aggregated graph and the
+/// Collapse communities into nodes. Returns the aggregated level and the
 /// dense renumbering `old community label -> new node id`.
-fn aggregate(g: &WGraph, assign: &[u32]) -> (WGraph, Vec<u32>) {
+///
+/// Every sum adds the same terms in the same order as a per-node walk
+/// would: level nodes are grouped by community with a counting sort that
+/// keeps their order, and each community's outgoing weights collect in a
+/// dense accumulator, emitted in ascending neighbour order.
+fn aggregate<L: Level>(g: &L, assign: &[u32]) -> (Aggregated, Vec<u32>) {
     let max_label = assign.iter().copied().max().map_or(0, |m| m as usize + 1);
     let mut renumber = vec![u32::MAX; max_label];
     let mut next = 0u32;
@@ -421,43 +527,69 @@ fn aggregate(g: &WGraph, assign: &[u32]) -> (WGraph, Vec<u32>) {
         }
     }
     let nc = next as usize;
-    let mut self_w = vec![0.0; nc];
-    let mut maps: Vec<std::collections::HashMap<u32, f64>> = vec![Default::default(); nc];
-    for u in 0..g.len() {
-        let cu = renumber[assign[u] as usize];
-        self_w[cu as usize] += g.self_w[u];
-        for &(v, w) in &g.adj[u] {
-            let cv = renumber[assign[v as usize] as usize];
-            if cu == cv {
-                // intra edge seen from both endpoints: add half each time
-                self_w[cu as usize] += w / 2.0;
-            } else {
-                *maps[cu as usize].entry(cv).or_insert(0.0) += w;
+    // Counting sort: community c's level nodes, ascending, are
+    // members[start[c]..start[c + 1]].
+    let mut start = vec![0usize; nc + 1];
+    for &c in assign {
+        start[renumber[c as usize] as usize + 1] += 1;
+    }
+    for c in 0..nc {
+        start[c + 1] += start[c];
+    }
+    let mut members = vec![0u32; assign.len()];
+    let mut cursor = start.clone();
+    for (u, &c) in assign.iter().enumerate() {
+        let c = renumber[c as usize] as usize;
+        members[cursor[c]] = u as u32;
+        cursor[c] += 1;
+    }
+
+    let mut offsets = Vec::with_capacity(nc + 1);
+    offsets.push(0);
+    let mut targets = Vec::new();
+    let mut weights = Vec::new();
+    let mut self_w = Vec::with_capacity(nc);
+    let mut strength = Vec::with_capacity(nc);
+    let mut acc = vec![0.0f64; nc];
+    let mut touched: Vec<u32> = Vec::new();
+    for cu in 0..nc {
+        let mut sw = 0.0;
+        for &u in &members[start[cu]..start[cu + 1]] {
+            sw += g.self_w(u as usize);
+            for (v, w) in g.entries(u as usize) {
+                let cv = renumber[assign[v as usize] as usize];
+                if cv as usize == cu {
+                    // intra edge seen from both endpoints: add half each time
+                    sw += w / 2.0;
+                } else {
+                    if acc[cv as usize] == 0.0 {
+                        touched.push(cv);
+                    }
+                    acc[cv as usize] += w;
+                }
             }
         }
+        touched.sort_unstable();
+        let first = targets.len();
+        for &cv in &touched {
+            targets.push(cv);
+            weights.push(std::mem::take(&mut acc[cv as usize]));
+        }
+        touched.clear();
+        let node_w: f64 = weights[first..].iter().sum();
+        self_w.push(sw);
+        strength.push(node_w + 2.0 * sw);
+        offsets.push(targets.len());
     }
-    let adj: Vec<Vec<(u32, f64)>> = maps
-        .into_iter()
-        .map(|m| {
-            let mut l: Vec<(u32, f64)> = m.into_iter().collect();
-            l.sort_unstable_by_key(|&(v, _)| v);
-            l
-        })
-        .collect();
-    let node_w: Vec<f64> = adj
-        .iter()
-        .map(|l| l.iter().map(|&(_, w)| w).sum())
-        .collect();
-    let total_w = g.total_w;
-    (
-        WGraph {
-            adj,
-            self_w,
-            node_w,
-            total_w,
-        },
-        renumber,
-    )
+    let level = Aggregated {
+        offsets,
+        targets,
+        weights,
+        self_w,
+        strength,
+        total_w: g.total_w(),
+    };
+    (level, renumber)
 }
 
 #[cfg(test)]

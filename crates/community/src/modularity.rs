@@ -21,25 +21,33 @@ pub fn modularity(g: &CsrGraph, p: &Partition) -> f64 {
         p.num_nodes(),
         "partition does not cover graph"
     );
-    let m = g.num_edges() as f64;
+    let assign = p.assignments();
+    let mut intra = vec![0u64; p.num_communities()];
+    let mut deg = vec![0u64; p.num_communities()];
+    for u in 0..g.num_nodes() as u32 {
+        let c = assign[u as usize] as usize;
+        deg[c] += g.degree(u) as u64;
+        for &v in g.neighbors(u) {
+            if v > u && assign[v as usize] as usize == c {
+                intra[c] += 1;
+            }
+        }
+    }
+    modularity_from_counts(&intra, &deg, g.num_edges() as f64)
+}
+
+/// `Q` from each community's intra-edge count `L_c` and degree sum `d_c`
+/// over `m` edges (0 when `m` is 0). Louvain's warm-start guard counts
+/// these while it builds its refinement view and scores them here, so
+/// both paths give the same bits.
+pub(crate) fn modularity_from_counts(intra: &[u64], deg: &[u64], m: f64) -> f64 {
     if m == 0.0 {
         return 0.0;
     }
-    let nc = p.num_communities();
-    let mut intra = vec![0u64; nc];
-    let mut deg = vec![0u64; nc];
-    for u in 0..g.num_nodes() as u32 {
-        deg[p.community_of(u) as usize] += g.degree(u) as u64;
-    }
-    for (u, v) in g.edges() {
-        if p.community_of(u) == p.community_of(v) {
-            intra[p.community_of(u) as usize] += 1;
-        }
-    }
     let mut q = 0.0;
-    for c in 0..nc {
-        let lc = intra[c] as f64;
-        let dc = deg[c] as f64;
+    for (&lc, &dc) in intra.iter().zip(deg) {
+        let lc = lc as f64;
+        let dc = dc as f64;
         q += lc / m - (dc / (2.0 * m)).powi(2);
     }
     q

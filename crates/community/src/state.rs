@@ -202,8 +202,11 @@ impl TrackerState {
         let partition: Vec<u32> = parse_list(&next("partition")?, "partition label")?;
         let comm_ids: Vec<CommunityId> = parse_list(&next("comm_ids")?, "community id")?;
 
+        // Counts come from the file: the vectors grow as their lines
+        // parse, so a damaged count fails on a missing line instead of
+        // reserving memory for it.
         let num_records: usize = parse_num(&next("records")?, "record count")?;
-        let mut records = Vec::with_capacity(num_records);
+        let mut records = Vec::new();
         for _ in 0..num_records {
             let v = next("record")?;
             let f: Vec<&str> = v.split_whitespace().collect();
@@ -211,7 +214,7 @@ impl TrackerState {
                 return Err(format!("bad record line '{v}'"));
             }
             let hist_len: usize = parse_num(f[4], "history length")?;
-            let mut history = Vec::with_capacity(hist_len);
+            let mut history = Vec::new();
             for _ in 0..hist_len {
                 let hv = next("hist")?;
                 let hf: Vec<&str> = hv.split_whitespace().collect();
@@ -236,7 +239,7 @@ impl TrackerState {
         }
 
         let num_events: usize = parse_num(&next("events")?, "event count")?;
-        let mut events = Vec::with_capacity(num_events);
+        let mut events = Vec::new();
         for _ in 0..num_events {
             let v = next("event")?;
             let f: Vec<&str> = v.split_whitespace().collect();
@@ -390,6 +393,32 @@ mod tests {
         let mut text = state.to_text();
         text.truncate(text.len() / 2);
         assert!(TrackerState::from_text(&text).is_err());
+    }
+
+    /// Replaces `line` of the sample's text with `bad` and returns the
+    /// decode error.
+    fn decode_damaged(line: &str, bad: &str) -> String {
+        let text = sample_state().to_text();
+        assert!(text.contains(line), "sample lacks '{line}'");
+        TrackerState::from_text(&text.replacen(line, bad, 1)).unwrap_err()
+    }
+
+    #[test]
+    fn huge_record_count_is_an_error() {
+        let err = decode_damaged("records 2", "records 1000000000000");
+        assert!(err.contains("expected 'record'"), "{err}");
+    }
+
+    #[test]
+    fn huge_history_length_is_an_error() {
+        let err = decode_damaged("record 3 10 - - 1", "record 3 10 - - 1000000000000");
+        assert!(err.contains("expected 'hist'"), "{err}");
+    }
+
+    #[test]
+    fn huge_event_count_is_an_error() {
+        let err = decode_damaged("events 5", "events 18446744073709551615");
+        assert!(err.contains("missing 'event'"), "{err}");
     }
 
     #[test]

@@ -265,8 +265,11 @@ impl CommunityTracker {
                 }
             }
 
-            // Mutual-best pairs continue identities.
+            // Mutual-best pairs continue identities. A predecessor
+            // continues into at most one successor and vice versa, so
+            // `continued_from` is the inverse of `continued_into`.
             let mut continued_into: Vec<Option<u32>> = vec![None; prev.comms.len()];
+            let mut continued_from: Vec<Option<usize>> = vec![None; comms.len()];
             let mut sims = Vec::new();
             for c in 0..comms.len() {
                 if let Some((p, jac)) = best_prev[c] {
@@ -275,6 +278,7 @@ impl CommunityTracker {
                             assigned_ids[c] = Some(prev.comms[p as usize].id);
                             similarity[c] = jac;
                             continued_into[p as usize] = Some(c as u32);
+                            continued_from[c] = Some(p as usize);
                             sims.push(jac);
                         }
                     }
@@ -342,8 +346,7 @@ impl CommunityTracker {
                     if absorbed < 0.5 {
                         continue;
                     }
-                    let Some(q) = (0..prev.comms.len()).find(|&q| continued_into[q] == Some(c))
-                    else {
+                    let Some(q) = continued_from[c as usize] else {
                         continue;
                     };
                     let sp = prev.comms[p].members.len() as u32;
@@ -370,9 +373,8 @@ impl CommunityTracker {
                     Some((c, _, absorbed)) if absorbed >= 0.5 => {
                         let dest_id = assigned_ids[c as usize];
                         // Which previous community continued into c?
-                        let dest_prev =
-                            (0..prev.comms.len()).find(|&q| continued_into[q] == Some(c));
-                        let rank = dest_prev.and_then(|q| destination_tie_rank(&prev, p, q));
+                        let rank = continued_from[c as usize]
+                            .and_then(|q| destination_tie_rank(&prev, p, q));
                         (dest_id, rank)
                     }
                     _ => (None, None),
@@ -561,7 +563,7 @@ impl CommunityTracker {
                         membership[v as usize] = Some(comm.id);
                     }
                 }
-                (membership, sizes, prev.graph.taken_at().day())
+                (membership, sizes, prev.day)
             }
             None => (Vec::new(), HashMap::new(), 0),
         };
@@ -590,20 +592,6 @@ fn destination_tie_rank(prev: &PrevState, p: usize, q: usize) -> Option<u32> {
         }
     }
     let q_tie = ties.get(&(q as u32)).copied().unwrap_or(0);
-    if std::env::var_os("OSN_TIE_DEBUG").is_some() {
-        let mut top: Vec<(u32, u64)> = ties.iter().map(|(&c, &t)| (c, t)).collect();
-        top.sort_by_key(|&(_, t)| std::cmp::Reverse(t));
-        top.truncate(4);
-        eprintln!(
-            "tie-debug: p={} (size {}) merged into q={} (size {}) q_tie={} top={:?}",
-            p,
-            prev.comms[p].members.len(),
-            q,
-            prev.comms[q].members.len(),
-            q_tie,
-            top,
-        );
-    }
     if q_tie == 0 {
         return None;
     }
@@ -668,7 +656,7 @@ mod tests {
             .count();
         assert_eq!(births, 2);
         assert_eq!(out.events.len(), 2);
-        assert_eq!(out.last_day, 0); // graph taken_at was Time::ZERO in from_edges
+        assert_eq!(out.last_day, 3); // the last observed snapshot's day
     }
 
     #[test]

@@ -827,7 +827,9 @@ fn parse_communities_state(
         .strip_prefix("summaries ")
         .and_then(|v| v.parse().ok())
         .ok_or_else(|| corrupt(path, format!("bad summaries line '{count_line}'")))?;
-    let mut summaries = Vec::with_capacity(count);
+    // The count comes from the file: grow as summary lines parse, so a
+    // damaged count fails on a missing line instead of reserving memory.
+    let mut summaries = Vec::new();
     for _ in 0..count {
         let line = lines.next().unwrap_or_default().trim();
         let f: Vec<&str> = line.split_whitespace().collect();
@@ -1178,6 +1180,26 @@ mod tests {
         metric_series_checkpointed(&log, &cfg, &dir).unwrap();
         std::fs::write(dir.join("rows.txt"), "#%osn-rows v1\nrow nonsense\n").unwrap();
         let err = metric_series_checkpointed(&log, &cfg, &dir).unwrap_err();
+        assert!(matches!(err, CheckpointStoreError::Corrupt { .. }), "{err}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn corrupt_summaries_count_is_reported() {
+        let log = tiny_log();
+        let cfg = comm_cfg();
+        let dir = tmp_dir("comm_corrupt_count");
+        track_checkpointed(&log, &cfg, &dir).unwrap();
+        let path = dir.join("communities.ckpt");
+        let text = std::fs::read_to_string(&path).unwrap();
+        let count_line = text.lines().nth(1).unwrap().to_string();
+        assert!(count_line.starts_with("summaries "), "{count_line}");
+        std::fs::write(
+            &path,
+            text.replacen(&count_line, "summaries 1000000000000", 1),
+        )
+        .unwrap();
+        let err = track_checkpointed(&log, &cfg, &dir).unwrap_err();
         assert!(matches!(err, CheckpointStoreError::Corrupt { .. }), "{err}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
