@@ -4,9 +4,6 @@
 //! The trace is generated once and serialized once (v2, in memory);
 //! each iteration then runs the hot read path — checksummed ingest and
 //! a supervised metric-series pass — exactly as `osn metrics` does.
-//! `--engine` picks the snapshot engine: `incremental` (default) drives
-//! the delta engine's single replay; `batch` additionally performs the
-//! full replay + CSR freeze per day, which is the legacy oracle path.
 //! Per-iteration latency lands in an `osn_obs` histogram; throughput is
 //! ingested events per second across the whole run. Results are one
 //! JSON line in the unified bench schema (default `BENCH_pipeline.json`,
@@ -14,15 +11,13 @@
 //! committed baseline.
 //!
 //! ```text
-//! bench_pipeline [--engine batch|incremental] [--iters N] [--stride D]
-//!                [--out FILE]
+//! bench_pipeline [--iters N] [--stride D] [--out FILE]
 //! ```
 
 use osn_bench::unified_fields;
-use osn_core::network::{metric_series_supervised_with, MetricSeriesConfig};
+use osn_core::network::{metric_series_supervised, MetricSeriesConfig};
 use osn_genstream::{TraceConfig, TraceGenerator};
 use osn_graph::io::{read_log, write_log_v2};
-use osn_metrics::engine::EngineKind;
 use osn_metrics::supervisor::RunPolicy;
 use std::process::ExitCode;
 use std::time::Instant;
@@ -30,7 +25,6 @@ use std::time::Instant;
 struct Args {
     iters: usize,
     stride: u32,
-    engine: EngineKind,
     out: String,
 }
 
@@ -38,7 +32,6 @@ fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         iters: 5,
         stride: 40,
-        engine: EngineKind::default(),
         out: "BENCH_pipeline.json".to_string(),
     };
     let mut it = std::env::args().skip(1);
@@ -47,7 +40,6 @@ fn parse_args() -> Result<Args, String> {
         match a.as_str() {
             "--iters" => args.iters = value()?.parse().map_err(|e| format!("{a}: {e}"))?,
             "--stride" => args.stride = value()?.parse().map_err(|e| format!("{a}: {e}"))?,
-            "--engine" => args.engine = value()?.parse().map_err(|e| format!("{a}: {e}"))?,
             "--out" => args.out = value()?,
             other => return Err(format!("unknown flag {other}")),
         }
@@ -62,10 +54,7 @@ fn main() -> ExitCode {
     let args = match parse_args() {
         Ok(a) => a,
         Err(e) => {
-            eprintln!(
-                "usage: bench_pipeline [--engine batch|incremental] [--iters N] [--stride D] \
-                 [--out FILE]"
-            );
+            eprintln!("usage: bench_pipeline [--iters N] [--stride D] [--out FILE]");
             eprintln!("error: {e}");
             return ExitCode::from(2);
         }
@@ -95,11 +84,9 @@ fn main() -> ExitCode {
     for _ in 0..args.iters {
         let iter_started = Instant::now();
         let log = read_log(std::io::Cursor::new(&bytes[..])).expect("reread serialized trace");
-        // Each engine does its own replay inside the sweep (batch: one
-        // replay + CSR freeze per day; incremental: a single replay
-        // with delta state), so the iteration is ingest + sweep only.
-        let (series, failures) =
-            metric_series_supervised_with(&log, &metrics_cfg, &policy, args.engine);
+        // The sweep does its own replay, so the iteration is ingest +
+        // sweep only.
+        let (series, failures) = metric_series_supervised(&log, &metrics_cfg, &policy);
         assert!(failures.is_empty(), "bench tasks must not fail");
         assert!(series.avg_degree.last_y().is_some());
         latency.record_duration(iter_started.elapsed());
@@ -110,10 +97,9 @@ fn main() -> ExitCode {
     let throughput = total_events as f64 / elapsed.as_secs_f64();
     let lat = latency.snapshot();
     let json = format!(
-        "{{{},\"engine\":\"{}\",\"iters\":{},\"stride\":{},\"gen_ms\":{},\
+        "{{{},\"iters\":{},\"stride\":{},\"gen_ms\":{},\
          \"events_per_iter\":{},\"total_events\":{},\"elapsed_ms\":{}}}",
         unified_fields("pipeline", throughput, &lat),
-        args.engine,
         args.iters,
         args.stride,
         gen_ms,
@@ -129,8 +115,7 @@ fn main() -> ExitCode {
     }
     println!("{json}");
     println!(
-        "pipeline bench ({} engine): {} iterations over {total_events} events in {:.2?} → {throughput:.0} events/s, p99 {}us",
-        args.engine,
+        "pipeline bench: {} iterations over {total_events} events in {:.2?} → {throughput:.0} events/s, p99 {}us",
         args.iters,
         elapsed,
         lat.p99()

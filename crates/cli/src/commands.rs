@@ -2,16 +2,15 @@
 
 use crate::error::CliError;
 use osn_core::checkpoint::{
-    metric_series_checkpointed_supervised_with, track_checkpointed_supervised, QuarantinedTask,
+    metric_series_checkpointed_supervised, track_checkpointed_supervised, QuarantinedTask,
 };
 use osn_core::communities::{track, CommunityAnalysisConfig};
-use osn_core::network::{growth_series, metric_series_supervised_with, MetricSeriesConfig};
+use osn_core::network::{growth_series, metric_series_supervised, MetricSeriesConfig};
 use osn_core::preferential::{alpha_series, AlphaConfig, DestinationRule};
 use osn_core::report::{write_csv, write_run_manifest, ManifestEntry};
 use osn_genstream::{TraceConfig, TraceGenerator};
 use osn_graph::io::{read_log, read_log_with_policy, save_log_v2, RecoveryPolicy};
 use osn_graph::{EventLog, Origin, Replayer};
-use osn_metrics::engine::EngineKind;
 use osn_metrics::supervisor::RunPolicy;
 use osn_stats::Table;
 use std::path::{Path, PathBuf};
@@ -27,20 +26,20 @@ USAGE:
   osn verify   trace.events [--policy strict|skip|repair] [--max-errors N]
                [--window SECONDS] [--json] [--allow-truncated-tail]
   osn verify   --wal DIR [--json]
-  osn metrics  trace.events [--engine batch|incremental] [--stride D]
-               [--out DIR] [--checkpoint DIR] [--workers N] [--retries N]
+  osn metrics  trace.events [--stride D] [--seed N] [--out DIR]
+               [--checkpoint DIR] [--workers N] [--retries N]
                [--task-timeout SECS] [--strict]
-  osn communities trace.events [--engine batch|incremental] [--delta X]
-               [--stride D] [--min-size K] [--out DIR] [--checkpoint DIR]
-               [--retries N] [--task-timeout SECS] [--strict]
+  osn communities trace.events [--delta X] [--stride D] [--min-size K]
+               [--seed N] [--out DIR] [--checkpoint DIR] [--retries N]
+               [--task-timeout SECS] [--strict]
   osn alpha    trace.events [--window E] [--out DIR]
   osn compare  a.events b.events
-  osn serve    trace.events [--engine batch|incremental] [--addr HOST]
-               [--port P] [--workers N] [--queue-depth N] [--shards N]
-               [--keepalive-timeout SECS] [--no-response-cache]
+  osn serve    trace.events [--addr HOST] [--port P] [--workers N]
+               [--queue-depth N] [--shards N] [--keepalive-timeout SECS]
                [--request-timeout SECS] [--header-timeout SECS]
                [--drain-timeout SECS] [--retries N] [--stride D]
-               [--community-stride D] [--seed N] [--follow]
+               [--community-stride D] [--seed N] [--build-workers N]
+               [--delta X] [--min-size K] [--follow]
                [--checkpoint DIR] [--poll-interval SECS] [--watchdog SECS]
                [--accept-writes] [--wal DIR] [--token TOK]...
                [--write-rate R] [--write-burst B] [--max-body-bytes N]
@@ -54,19 +53,14 @@ runs (exit 4) and serve drains that abandoned in-flight requests.
 
 Traces are written in the checksummed v2 format; v1 traces stay readable.
 With --checkpoint DIR, a killed metrics/communities run resumes from the
-last completed snapshot and produces byte-identical output — checkpoint
-directories are engine-agnostic, so a run may even switch --engine
-across the kill.
+last completed snapshot and produces byte-identical output.
 
---engine picks how per-day snapshots are computed: 'incremental' (the
-default) maintains one evolving graph with per-metric delta state;
-'batch' rebuilds a frozen CSR per day (kept as the correctness oracle).
-Both produce byte-identical CSV/JSON output; the choice only affects
-speed. Output-path flags are uniform across commands: --out PATH
-(primary output: a file for generate, a directory for the analyses),
---telemetry FILE, --checkpoint DIR. Older spellings (--output,
---out-dir, --telemetry-out, --checkpoint-dir, serve's --trace) keep
-working as hidden aliases and print a one-line deprecation note.
+Each command takes exactly the flags listed above; any other --flag is a
+usage error (exit 2). Output-path flags are uniform across commands:
+--out PATH (primary output: a file for generate, a directory for the
+analyses), --telemetry FILE, --checkpoint DIR. serve's --workers sizes
+the HTTP worker pool; --build-workers the metric sweep, like metrics'
+--workers.
 
 metrics/communities run every snapshot task under a supervisor: a panic,
 a deadline overrun (--task-timeout) or exhausted retries (--retries)
@@ -111,48 +105,38 @@ sealed back to a strict-clean batch log; osn verify --wal DIR runs the
 checks the WAL's open runs on the retained segments (and on the trace,
 for a DIR named <trace>.wal beside it).";
 
-/// Hidden aliases from the output-flag unification: every command names
-/// its primary output `--out`, the telemetry snapshot `--telemetry`,
-/// and the checkpoint store `--checkpoint`. Old spellings keep working
-/// but print a one-line deprecation note to stderr; they are not
-/// listed in the usage text.
-const FLAG_ALIASES: &[(&str, &str)] = &[
-    ("output", "out"),
-    ("out-dir", "out"),
-    ("telemetry-out", "telemetry"),
-    ("checkpoint-dir", "checkpoint"),
+/// Each command's value flags and switches. [`Flags::parse`] rejects
+/// any other `--key`; every command also takes `--telemetry FILE`.
+/// `USAGE` lists exactly these sets (checked by a unit test).
+const COMMAND_FLAGS: &[(&str, &str, &str)] = &[
+    ("generate", "scale seed nodes days out", "no-merge"),
+    ("inspect", "", ""),
+    (
+        "verify",
+        "policy max-errors window wal",
+        "json allow-truncated-tail",
+    ),
+    (
+        "metrics",
+        "stride seed out checkpoint workers retries task-timeout",
+        "strict",
+    ),
+    (
+        "communities",
+        "delta stride min-size seed out checkpoint retries task-timeout",
+        "strict",
+    ),
+    ("alpha", "window out", ""),
+    ("compare", "", ""),
+    (
+        "serve",
+        "addr port workers queue-depth shards keepalive-timeout request-timeout \
+         header-timeout drain-timeout retries stride community-stride seed build-workers \
+         delta min-size checkpoint poll-interval watchdog wal token write-rate write-burst \
+         max-body-bytes max-write-lag max-sync-queue",
+        "follow accept-writes no-wal-fsync",
+    ),
 ];
-
-/// Resolve a deprecated alias to its canonical flag name, noting the
-/// rename on stderr at most once per process (see [`note_deprecation`]).
-fn canonical_flag(key: &str) -> &str {
-    match FLAG_ALIASES.iter().find(|(old, _)| *old == key) {
-        Some((old, new)) => {
-            note_deprecation(old, &format!("note: --{old} is deprecated; use --{new}"));
-            new
-        }
-        None => key,
-    }
-}
-
-/// Print a deprecation note at most once per process per stale flag.
-/// Returns whether this call printed. A parse that mentions the same
-/// old spelling five times (or a long-running `serve` whose wrapper
-/// script re-parses) should nag once, not once per occurrence.
-pub(crate) fn note_deprecation(old_flag: &str, note: &str) -> bool {
-    use std::collections::HashSet;
-    use std::sync::{Mutex, OnceLock};
-    static SEEN: OnceLock<Mutex<HashSet<String>>> = OnceLock::new();
-    let seen = SEEN.get_or_init(|| Mutex::new(HashSet::new()));
-    let fresh = seen
-        .lock()
-        .map(|mut s| s.insert(old_flag.to_string()))
-        .unwrap_or(false);
-    if fresh {
-        eprintln!("{note}");
-    }
-    fresh
-}
 
 /// Minimal flag parser: `--key value` pairs plus positional arguments.
 #[derive(Debug)]
@@ -163,23 +147,35 @@ pub(crate) struct Flags {
 }
 
 impl Flags {
-    pub(crate) fn parse(args: &[String], switches: &[&str]) -> Result<Flags, CliError> {
+    /// Parse `args` against `command`'s entry in [`COMMAND_FLAGS`].
+    pub(crate) fn parse(command: &str, args: &[String]) -> Result<Flags, CliError> {
+        let (_, values, switches) = COMMAND_FLAGS
+            .iter()
+            .find(|(name, ..)| *name == command)
+            .expect("every command has a flag set");
         let mut out = Flags {
             positional: Vec::new(),
             pairs: Vec::new(),
             switches: Vec::new(),
         };
+        let listed = |set: &str, key: &str| set.split_whitespace().any(|f| f == key);
         let mut it = args.iter();
         while let Some(a) = it.next() {
             if let Some(key) = a.strip_prefix("--") {
-                let key = canonical_flag(key);
-                if switches.contains(&key) {
+                if listed(switches, key) {
                     out.switches.push(key.to_string());
-                } else {
+                } else if listed(values, key) || key == "telemetry" {
+                    // A following `--flag` is never a value: `--out --strict`
+                    // must not write into a directory named `--strict`.
                     let value = it
                         .next()
+                        .filter(|v| !v.starts_with("--"))
                         .ok_or_else(|| CliError::Usage(format!("flag --{key} needs a value")))?;
                     out.pairs.push((key.to_string(), value.clone()));
+                } else {
+                    return Err(CliError::Usage(format!(
+                        "unknown flag --{key} for `osn {command}` (see `osn help`)"
+                    )));
                 }
             } else {
                 out.positional.push(a.clone());
@@ -285,20 +281,6 @@ fn checkpoint_dir(flags: &Flags) -> Option<PathBuf> {
     flags.get("checkpoint").map(PathBuf::from)
 }
 
-/// Parse `--engine`; the default is the incremental engine (batch is
-/// kept as the correctness oracle). Both engines produce byte-identical
-/// output, so this flag only ever changes speed.
-pub(crate) fn engine_flag(flags: &Flags) -> Result<EngineKind, CliError> {
-    match flags.get("engine") {
-        None => Ok(EngineKind::default()),
-        Some(v) => v.parse().map_err(|_| {
-            CliError::Usage(format!(
-                "unknown engine '{v}' (expected 'batch' or 'incremental')"
-            ))
-        }),
-    }
-}
-
 /// Build the supervision policy from `--retries` / `--task-timeout` and
 /// the `OSN_CHAOS` fault-injection hook (a `ChaosTaskPlan` spec such as
 /// `panic@12` — test/drill use only; see `osn_graph::testutil`).
@@ -385,7 +367,7 @@ fn finish_supervised_run(
 
 /// `osn generate`
 pub fn generate(args: &[String]) -> Result<(), CliError> {
-    let flags = Flags::parse(args, &["no-merge"])?;
+    let flags = Flags::parse("generate", args)?;
     let _telemetry = TelemetryGuard::from_flags(&flags);
     let mut cfg = match flags.get("scale").unwrap_or("small") {
         "tiny" => TraceConfig::tiny(),
@@ -436,7 +418,7 @@ pub fn generate(args: &[String]) -> Result<(), CliError> {
 
 /// `osn inspect`
 pub fn inspect(args: &[String]) -> Result<(), CliError> {
-    let flags = Flags::parse(args, &[])?;
+    let flags = Flags::parse("inspect", args)?;
     let _telemetry = TelemetryGuard::from_flags(&flags);
     let path = flags.trace_arg("inspect")?;
     let log = load_log(path)?;
@@ -482,7 +464,7 @@ pub fn inspect(args: &[String]) -> Result<(), CliError> {
 /// report's `tail_pending` field) exits 0 instead of 3 — mid-file
 /// corruption still fails.
 pub fn verify(args: &[String]) -> Result<(), CliError> {
-    let flags = Flags::parse(args, &["json", "allow-truncated-tail"])?;
+    let flags = Flags::parse("verify", args)?;
     let _telemetry = TelemetryGuard::from_flags(&flags);
     // `--wal DIR` switches to write-ahead-log mode: verify every
     // retained segment instead of a trace file.
@@ -659,7 +641,7 @@ fn verify_wal(dir: &Path, json: bool) -> Result<(), CliError> {
 
 /// `osn metrics`
 pub fn metrics(args: &[String]) -> Result<(), CliError> {
-    let flags = Flags::parse(args, &["strict"])?;
+    let flags = Flags::parse("metrics", args)?;
     let _telemetry = TelemetryGuard::from_flags(&flags);
     let path = flags.trace_arg("metrics")?;
     let log = load_log(path)?;
@@ -672,17 +654,15 @@ pub fn metrics(args: &[String]) -> Result<(), CliError> {
         ..Default::default()
     };
     let policy = run_policy(&flags)?;
-    let engine = engine_flag(&flags)?;
     let started = std::time::Instant::now();
     let (m, quarantined) = match checkpoint_dir(&flags) {
         Some(ckpt) => {
-            let out =
-                metric_series_checkpointed_supervised_with(&log, &cfg, &ckpt, &policy, engine)?;
+            let out = metric_series_checkpointed_supervised(&log, &cfg, &ckpt, &policy)?;
             println!("checkpoint: {}", ckpt.display());
             out
         }
         None => {
-            let (m, failures) = metric_series_supervised_with(&log, &cfg, &policy, engine);
+            let (m, failures) = metric_series_supervised(&log, &cfg, &policy);
             let quarantined = failures
                 .iter()
                 .map(|f| QuarantinedTask::from_failure(f.day, &f.failure))
@@ -712,7 +692,7 @@ pub fn metrics(args: &[String]) -> Result<(), CliError> {
 
 /// `osn communities`
 pub fn communities(args: &[String]) -> Result<(), CliError> {
-    let flags = Flags::parse(args, &["strict"])?;
+    let flags = Flags::parse("communities", args)?;
     let _telemetry = TelemetryGuard::from_flags(&flags);
     let path = flags.trace_arg("communities")?;
     let log = load_log(path)?;
@@ -723,12 +703,6 @@ pub fn communities(args: &[String]) -> Result<(), CliError> {
         seed: flags.get_parsed::<u64>("seed")?.unwrap_or(0),
         ..Default::default()
     };
-    // Community tracking is stateful and sequential; --workers and
-    // --engine are accepted for CLI symmetry but do not change anything
-    // (Louvain needs a frozen adjacency, and results never depend on
-    // worker count or engine kind anyway).
-    let _ = flags.get_parsed::<usize>("workers")?;
-    let _ = engine_flag(&flags)?;
     let policy = run_policy(&flags)?;
     let started = std::time::Instant::now();
     let ((summaries, output), quarantined) = match checkpoint_dir(&flags) {
@@ -835,7 +809,7 @@ pub fn communities(args: &[String]) -> Result<(), CliError> {
 
 /// `osn alpha`
 pub fn alpha(args: &[String]) -> Result<(), CliError> {
-    let flags = Flags::parse(args, &[])?;
+    let flags = Flags::parse("alpha", args)?;
     let _telemetry = TelemetryGuard::from_flags(&flags);
     let path = flags.trace_arg("alpha")?;
     let log = load_log(path)?;
@@ -864,7 +838,7 @@ pub fn alpha(args: &[String]) -> Result<(), CliError> {
 /// distribution. Useful for checking whether two seeds (or two
 /// configurations) are statistically distinguishable.
 pub fn compare(args: &[String]) -> Result<(), CliError> {
-    let flags = Flags::parse(args, &[])?;
+    let flags = Flags::parse("compare", args)?;
     let _telemetry = TelemetryGuard::from_flags(&flags);
     let [pa, pb] = flags.positional.as_slice() else {
         return Err(CliError::Usage(
@@ -932,7 +906,7 @@ mod tests {
             .iter()
             .map(|s| s.to_string())
             .collect();
-        let f = Flags::parse(&args, &["no-merge"]).unwrap();
+        let f = Flags::parse("generate", &args).unwrap();
         assert_eq!(f.positional, vec!["file.events"]);
         assert_eq!(f.get("seed"), Some("7"));
         assert_eq!(f.get_parsed::<u64>("seed").unwrap(), Some(7));
@@ -942,35 +916,12 @@ mod tests {
     }
 
     #[test]
-    fn deprecation_notes_print_once_per_process() {
-        // First sighting of a flag prints; every later sighting of the
-        // same flag is silent, even with different advice text.
-        assert!(note_deprecation(
-            "test-once-flag",
-            "note: --test-once-flag is deprecated"
-        ));
-        assert!(!note_deprecation(
-            "test-once-flag",
-            "note: --test-once-flag is deprecated"
-        ));
-        assert!(!note_deprecation(
-            "test-once-flag",
-            "different text, same flag"
-        ));
-        // A different flag gets its own one-shot note.
-        assert!(note_deprecation(
-            "test-other-flag",
-            "note: --test-other-flag is deprecated"
-        ));
-    }
-
-    #[test]
     fn get_all_returns_repeated_flags_in_order() {
         let args: Vec<String> = ["--token", "a", "--seed", "1", "--token", "b"]
             .iter()
             .map(|s| s.to_string())
             .collect();
-        let f = Flags::parse(&args, &[]).unwrap();
+        let f = Flags::parse("serve", &args).unwrap();
         assert_eq!(f.get_all("token"), vec!["a", "b"]);
         assert_eq!(f.get("token"), Some("b"), "get keeps last-wins semantics");
         assert!(f.get_all("missing").is_empty());
@@ -1083,87 +1034,89 @@ mod tests {
     }
 
     #[test]
-    fn deprecated_aliases_resolve_to_canonical_flags() {
-        let args: Vec<String> = [
-            "--output",
-            "a",
-            "--out-dir",
-            "b",
-            "--telemetry-out",
-            "t.json",
-            "--checkpoint-dir",
-            "ckpt",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-        let f = Flags::parse(&args, &[]).unwrap();
-        // Later spellings win, exactly as with repeated canonical flags.
-        assert_eq!(f.get("out"), Some("b"));
-        assert_eq!(f.get("telemetry"), Some("t.json"));
-        assert_eq!(f.get("checkpoint"), Some("ckpt"));
-        assert_eq!(f.get("output"), None, "alias must not survive parsing");
-    }
-
-    #[test]
-    fn engine_flag_parses_and_rejects_unknowns() {
-        let parse = |v: &str| {
-            let args = vec!["--engine".to_string(), v.to_string()];
-            engine_flag(&Flags::parse(&args, &[]).unwrap())
-        };
-        assert_eq!(parse("batch").unwrap(), EngineKind::Batch);
-        assert_eq!(parse("incremental").unwrap(), EngineKind::Incremental);
-        let err = parse("turbo").unwrap_err();
-        assert!(err.to_string().contains("unknown engine 'turbo'"), "{err}");
-        assert_eq!(err.exit_code(), 2);
-        // Unset → the incremental default.
-        let f = Flags::parse(&[], &[]).unwrap();
-        assert_eq!(engine_flag(&f).unwrap(), EngineKind::Incremental);
-    }
-
-    #[test]
-    fn metrics_csv_is_byte_identical_across_engines() {
-        let dir = std::env::temp_dir().join("osn_cli_engines");
+    fn unknown_flags_are_usage_errors_naming_flag_and_command() {
+        let dir = std::env::temp_dir().join(format!("osn_cli_flags_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
         let trace = dir.join("t.events");
-        generate(&[
-            "--scale".into(),
-            "tiny".into(),
-            "--out".into(),
-            trace.to_str().unwrap().into(),
-        ])
-        .unwrap();
         let t = trace.to_str().unwrap().to_string();
-        let run = |engine: &str, out: &str| {
-            metrics(&[
-                t.clone(),
-                "--stride".into(),
-                "40".into(),
-                "--engine".into(),
-                engine.into(),
-                "--out".into(),
-                dir.join(out).to_str().unwrap().into(),
-            ])
-            .unwrap();
-            std::fs::read(dir.join(out).join("metrics.csv")).unwrap()
+        generate(&["--scale".into(), "tiny".into(), "--out".into(), t.clone()]).unwrap();
+        let out = dir.join("out").to_str().unwrap().to_string();
+        let run = |command: &str, extra: &[&str]| {
+            let mut args = vec![t.clone(), "--out".to_string(), out.clone()];
+            if command == "serve" {
+                args.truncate(1);
+            }
+            args.extend(extra.iter().map(|a| a.to_string()));
+            match command {
+                "metrics" => metrics(&args),
+                "communities" => communities(&args),
+                _ => crate::serve::serve(&args),
+            }
         };
-        assert_eq!(run("batch", "out-batch"), run("incremental", "out-inc"));
+        for (command, extra) in [
+            ("metrics", ["--strid", "3"]),
+            ("metrics", ["--output", "d"]),
+            ("metrics", ["--engine", "batch"]),
+            ("communities", ["--engine", "batch"]),
+            ("communities", ["--workers", "2"]),
+            ("serve", ["--engine", "batch"]),
+            ("serve", ["--trace", "t.events"]),
+        ] {
+            let err = run(command, &extra).unwrap_err();
+            assert_eq!(err.exit_code(), 2, "{command} {extra:?}: {err}");
+            let msg = err.to_string();
+            assert!(msg.contains(extra[0]), "{msg}");
+            assert!(msg.contains(&format!("`osn {command}`")), "{msg}");
+        }
+        let err = run("serve", &["--no-response-cache"]).unwrap_err();
+        assert_eq!(err.exit_code(), 2, "{err}");
+        assert!(!dir.join("d").exists() && !dir.join("out").exists());
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
+    fn usage_lists_exactly_each_commands_flags() {
+        for (command, values, switches) in COMMAND_FLAGS {
+            let mut listed: Vec<&str> = Vec::new();
+            let mut inside = false;
+            for line in USAGE.lines() {
+                if let Some(rest) = line.strip_prefix("  osn ") {
+                    inside = rest.split_whitespace().next() == Some(*command);
+                } else if !line.starts_with("      ") {
+                    inside = false;
+                }
+                if inside {
+                    listed.extend(
+                        line.split(['[', ']', ' '])
+                            .filter_map(|w| w.strip_prefix("--")),
+                    );
+                }
+            }
+            let mut expected: Vec<&str> = values
+                .split_whitespace()
+                .chain(switches.split_whitespace())
+                .collect();
+            expected.sort_unstable();
+            listed.sort_unstable();
+            listed.dedup();
+            assert_eq!(listed, expected, "USAGE for `osn {command}`");
+        }
+    }
+
+    #[test]
     fn flags_reject_missing_value() {
-        let args: Vec<String> = ["--seed"].iter().map(|s| s.to_string()).collect();
-        let err = Flags::parse(&args, &[]).unwrap_err();
-        assert!(matches!(err, CliError::Usage(_)));
-        assert_eq!(err.exit_code(), 2);
+        for args in [&["--seed"][..], &["--out", "--no-merge"]] {
+            let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+            let err = Flags::parse("generate", &args).unwrap_err();
+            assert!(matches!(err, CliError::Usage(_)));
+            assert_eq!(err.exit_code(), 2);
+        }
     }
 
     #[test]
     fn flags_reject_bad_parse() {
         let args: Vec<String> = ["--seed", "abc"].iter().map(|s| s.to_string()).collect();
-        let f = Flags::parse(&args, &[]).unwrap();
+        let f = Flags::parse("generate", &args).unwrap();
         assert!(f.get_parsed::<u64>("seed").is_err());
     }
 

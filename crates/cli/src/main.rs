@@ -5,25 +5,18 @@
 //!              [--no-merge] --out trace.events
 //! osn inspect  trace.events
 //! osn verify   trace.events [--policy strict|skip|repair] [--allow-truncated-tail]
-//! osn metrics  trace.events [--engine batch|incremental] [--stride D]
-//!              [--out DIR] [--checkpoint DIR] [--workers N] [--retries N]
+//! osn metrics  trace.events [--stride D] [--seed N] [--out DIR]
+//!              [--checkpoint DIR] [--workers N] [--retries N]
 //!              [--task-timeout SECS] [--strict]
-//! osn communities trace.events [--engine batch|incremental] [--delta X]
-//!              [--stride D] [--min-size K] [--out DIR] [--checkpoint DIR]
-//!              [--retries N] [--task-timeout SECS] [--strict]
+//! osn communities trace.events [--delta X] [--stride D] [--min-size K]
+//!              [--seed N] [--out DIR] [--checkpoint DIR] [--retries N]
+//!              [--task-timeout SECS] [--strict]
 //! osn alpha    trace.events [--window E] [--out DIR]
-//! osn serve    trace.events [--engine batch|incremental] [--addr HOST]
-//!              [--port P] [--workers N] [--queue-depth N] [--shards N]
-//!              [--keepalive-timeout SECS] [--no-response-cache]
-//!              [--request-timeout SECS] [--header-timeout SECS]
-//!              [--drain-timeout SECS] [--retries N] [--follow]
-//!              [--checkpoint DIR] [--poll-interval SECS] [--watchdog SECS]
+//! osn serve    trace.events [--addr HOST] [--port P] [--workers N] ...
 //! ```
 //!
-//! `--engine` selects the snapshot engine: `incremental` (default)
-//! maintains one evolving graph with per-metric delta state; `batch`
-//! rebuilds a frozen CSR per day and is kept as the correctness oracle.
-//! Output is byte-identical either way.
+//! `osn help` prints every command's full flag set; any flag outside it
+//! is a usage error (exit 2).
 //!
 //! Traces are the checksummed v2 event format of `osn_graph::io` (v1 files
 //! remain readable), so anything generated here can be re-analysed later or

@@ -23,7 +23,7 @@
 //! deadline expired with requests still in flight (degraded drain),
 //! `1` anything else.
 
-use crate::commands::{engine_flag, note_deprecation, Flags, TelemetryGuard};
+use crate::commands::{Flags, TelemetryGuard};
 use crate::error::CliError;
 use osn_core::communities::CommunityAnalysisConfig;
 use osn_core::live::{run_follow, LiveError, LiveHeadConfig, LiveQuery};
@@ -226,30 +226,13 @@ fn write_plane(
 
 /// `osn serve`
 pub fn serve(args: &[String]) -> Result<(), CliError> {
-    let flags = Flags::parse(
-        args,
-        &[
-            "follow",
-            "accept-writes",
-            "no-wal-fsync",
-            "no-response-cache",
-        ],
-    )?;
+    let flags = Flags::parse("serve", args)?;
     // Constructed before preflight so ingest counters land in the
     // snapshot, and dropped on *every* return — the clean-drain Ok, the
     // exit-4 `CliError::Drain` when the deadline abandons in-flight
     // work, and preflight failures alike all flush telemetry.
     let _telemetry = TelemetryGuard::from_flags(&flags);
-    let path = match flags.get("trace") {
-        Some(t) => {
-            note_deprecation(
-                "trace",
-                "note: --trace is deprecated; pass the trace file as a positional argument",
-            );
-            t.to_string()
-        }
-        None => flags.trace_arg("serve")?.to_string(),
-    };
+    let path = flags.trace_arg("serve")?.to_string();
 
     let host = flags.get("addr").unwrap_or("127.0.0.1");
     let port = flags.get_parsed::<u16>("port")?.unwrap_or(0);
@@ -269,8 +252,7 @@ pub fn serve(args: &[String]) -> Result<(), CliError> {
             min_size: flags.get_parsed::<u32>("min-size")?.unwrap_or(10),
             seed: flags.get_parsed::<u64>("seed")?.unwrap_or(0),
             ..Default::default()
-        })
-        .engine(engine_flag(&flags)?);
+        });
 
     let chaos = match std::env::var("OSN_CHAOS") {
         Ok(spec) if !spec.trim().is_empty() => Some(
@@ -298,7 +280,6 @@ pub fn serve(args: &[String]) -> Result<(), CliError> {
         // the pre-sharding layout.
         shards: flags.get_parsed::<usize>("shards")?.unwrap_or(1),
         keepalive_timeout: duration_flag(&flags, "keepalive-timeout", Duration::from_secs(5))?,
-        response_cache: !flags.has("no-response-cache"),
         ..ServerConfig::default()
     };
 
@@ -341,10 +322,9 @@ pub fn serve(args: &[String]) -> Result<(), CliError> {
         let started = Instant::now();
         let query = Arc::new(query_builder.build(&log));
         println!(
-            "materialised {} metric day(s), {} community day(s) with the {} engine in {:.1?}",
+            "materialised {} metric day(s), {} community day(s) in {:.1?}",
             query.metric_days().len(),
             query.community_days().len(),
-            query.engine(),
             started.elapsed()
         );
         let server =

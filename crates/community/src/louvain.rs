@@ -293,8 +293,10 @@ pub fn louvain(g: &CsrGraph, cfg: &LouvainConfig, init: Option<&Partition>) -> L
             // holds every intra-community edge in snapshot order and the
             // returned modularity is the snapshot's.
             let (view, warm_q) = WarmView::new(g, &warm);
-            let (refined, _, refined_q) = local_moving(&view, identity(n), cfg, &mut rng);
-            (refined, refined_q, Some((warm, warm_q)))
+            let (refined, _) = local_moving(&view, identity(n), cfg, &mut rng);
+            // No start modularity: warm runs complete two levels (see
+            // `min_levels`), so level 1's gain is never tested.
+            (refined, f64::NEG_INFINITY, Some((warm, warm_q)))
         }
         None => {
             let singletons = identity(n);
@@ -314,9 +316,13 @@ pub fn louvain(g: &CsrGraph, cfg: &LouvainConfig, init: Option<&Partition>) -> L
     let mut level: Option<Aggregated> = None;
 
     loop {
-        let (assign, moved, q_after) = match &level {
+        let (assign, moved) = match &level {
             None => local_moving(g, level_init, cfg, &mut rng),
             Some(l) => local_moving(l, level_init, cfg, &mut rng),
+        };
+        let q_after = match &level {
+            None => modularity_weighted(g, &assign),
+            Some(l) => modularity_weighted(l, &assign),
         };
 
         // Compose: node_to_comm maps original -> level node; `assign` maps
@@ -400,14 +406,14 @@ fn identity(n: usize) -> Vec<u32> {
 }
 
 /// One complete local-moving phase from the assignment `assign`. Returns
-/// the final assignment (labels are arbitrary, not renumbered), whether
-/// any node moved, and the modularity after moving.
+/// the final assignment (labels are arbitrary, not renumbered) and
+/// whether any node moved.
 fn local_moving<L: Level>(
     g: &L,
     mut assign: Vec<u32>,
     cfg: &LouvainConfig,
     rng: &mut rand::rngs::SmallRng,
-) -> (Vec<u32>, bool, f64) {
+) -> (Vec<u32>, bool) {
     let n = g.len();
     let two_m = 2.0 * g.total_w();
     let nc = assign.iter().copied().max().map_or(0, |m| m as usize + 1);
@@ -432,8 +438,7 @@ fn local_moving<L: Level>(
         .collect();
 
     if two_m == 0.0 {
-        let q = modularity_weighted(g, &assign);
-        return (assign, false, q);
+        return (assign, false);
     }
 
     for _sweep in 0..cfg.max_sweeps {
@@ -505,8 +510,7 @@ fn local_moving<L: Level>(
             break;
         }
     }
-    let q = modularity_weighted(g, &assign);
-    (assign, any_moved, q)
+    (assign, any_moved)
 }
 
 /// Collapse communities into nodes. Returns the aggregated level and the

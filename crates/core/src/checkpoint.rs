@@ -14,7 +14,6 @@
 //! |---|---|
 //! | `meta.txt` | trace fingerprint + every result-affecting config field |
 //! | `rows.txt` | (metrics) one line per completed snapshot day |
-//! | `replay.ckpt` | [`ReplayCheckpoint`] at the last completed stride |
 //! | `communities.ckpt` | (communities) summaries + full tracker state |
 //! | `quarantine.txt` | days whose task the supervisor gave up on |
 //!
@@ -23,7 +22,9 @@
 //! [`CheckpointStoreError::Mismatch`] rather than silently mixing results.
 //! Worker-thread count and supervision policy (retries, deadlines) are
 //! deliberately *not* recorded — they do not affect the values successful
-//! days produce.
+//! days produce. A resumed run replays the event prefix of the days it
+//! still has to compute, so no replay position is stored; a
+//! `replay.ckpt` left by an older version is ignored.
 //!
 //! ## Supervised (degraded) runs
 //!
@@ -38,26 +39,20 @@
 //! uninterrupted.
 
 use crate::communities::CommunityAnalysisConfig;
-use crate::network::{MetricSeries, MetricSeriesConfig};
+use crate::network::{metric_row, snapshot_days, MetricRow, MetricSeries, MetricSeriesConfig};
 use osn_community::{CommunityTracker, SnapshotSummary, TrackerOutput, TrackerState};
 use osn_graph::atomicfile::write_bytes_atomic;
-use osn_graph::{Day, EventLog, ReplayCheckpoint, Replayer, Time};
-use osn_metrics::engine::{EngineKind, EngineState};
+use osn_graph::{Day, EventLog, Replayer};
+use osn_metrics::engine::{day_sweep, EngineConfig};
 use osn_metrics::supervisor::{
-    chaos_gate, supervised_call, try_par_map_labeled, FailureKind, RunPolicy, TaskError,
-    TaskFailure,
+    chaos_gate, supervised_call, FailureKind, RunPolicy, TaskError, TaskFailure,
 };
-use osn_metrics::{
-    average_clustering, avg_path_length_over_component, avg_path_length_sampled,
-    degree_assortativity,
-};
-use osn_stats::sampling::derive_seed;
-use osn_stats::{rng_from_seed, Series};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fmt::Write as _;
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::Mutex;
 
 /// Errors from the checkpoint store.
 #[derive(Debug)]
@@ -156,31 +151,6 @@ fn check_or_init_meta(dir: &Path, expected: &str) -> Result<(), CheckpointStoreE
             write_bytes_atomic(&path, expected.as_bytes())?;
             Ok(())
         }
-    }
-}
-
-/// The snapshot days a `DailySnapshots::new(log, first_day, stride)`
-/// iteration would visit.
-fn snapshot_days(log: &EventLog, first_day: Day, stride: Day) -> Vec<Day> {
-    assert!(stride > 0, "stride must be positive");
-    let mut days = Vec::new();
-    let mut d = first_day;
-    while d <= log.end_day() {
-        days.push(d);
-        d += stride;
-    }
-    days
-}
-
-/// Checkpoint of the replay position right after `day` completed.
-fn replay_checkpoint_at(log: &EventLog, day: Day) -> ReplayCheckpoint {
-    let pos = log
-        .events()
-        .partition_point(|e| e.time < Time::day_end(day));
-    ReplayCheckpoint {
-        pos,
-        day,
-        fingerprint: log.fingerprint(),
     }
 }
 
@@ -289,14 +259,6 @@ fn load_quarantine(path: &Path) -> Result<BTreeMap<Day, QuarantinedTask>, Checkp
 // Metrics (Figure 1c–f)
 // ---------------------------------------------------------------------------
 
-#[derive(Debug, Clone, Copy)]
-struct MetricRow {
-    avg_degree: f64,
-    path_length: Option<f64>,
-    clustering: f64,
-    assortativity: Option<f64>,
-}
-
 const ROWS_MAGIC: &str = "#%osn-rows v1";
 
 fn metrics_meta_text(log: &EventLog, cfg: &MetricSeriesConfig) -> String {
@@ -363,78 +325,11 @@ fn load_rows(path: &Path) -> Result<BTreeMap<Day, MetricRow>, CheckpointStoreErr
     Ok(rows)
 }
 
-/// Load the recorded replay checkpoint and resume a [`Replayer`] from it,
-/// but only when it is consistent with the cached rows; anything dubious
-/// falls back to a fresh replay (the rows file is the source of truth —
-/// the replay checkpoint only saves work).
-fn resume_replayer<'a>(
-    log: &'a EventLog,
-    dir: &Path,
-    days: &[Day],
-    rows: &BTreeMap<Day, MetricRow>,
-    quarantined: &BTreeMap<Day, QuarantinedTask>,
-) -> io::Result<(Replayer<'a>, usize)> {
-    let contiguous = days
-        .iter()
-        .take_while(|d| rows.contains_key(d) || quarantined.contains_key(d))
-        .count();
-    if contiguous > 0 {
-        if let Some(text) = read_optional(&dir.join("replay.ckpt"))? {
-            if let Ok(cp) = ReplayCheckpoint::from_text(&text) {
-                if cp.day == days[contiguous - 1] {
-                    if let Ok(r) = Replayer::resume(log, &cp) {
-                        return Ok((r, contiguous));
-                    }
-                }
-            }
-        }
-        // No usable replay checkpoint: replay the prefix manually.
-        let mut r = Replayer::new(log);
-        r.advance_through_day(days[contiguous - 1]);
-        return Ok((r, contiguous));
-    }
-    Ok((Replayer::new(log), 0))
-}
-
-/// Incremental-engine analogue of [`resume_replayer`]: rebuild an
-/// [`EngineState`] past the contiguous completed prefix. The engine's
-/// per-metric delta state cannot be restored from a byte position alone,
-/// so the prefix is replayed through the delta observer either way; the
-/// recorded checkpoint still validates that the rows belong to this
-/// trace at that exact position.
-fn resume_engine_state<'a>(
-    log: &'a EventLog,
-    dir: &Path,
-    days: &[Day],
-    rows: &BTreeMap<Day, MetricRow>,
-    quarantined: &BTreeMap<Day, QuarantinedTask>,
-) -> io::Result<(EngineState<'a>, usize)> {
-    let contiguous = days
-        .iter()
-        .take_while(|d| rows.contains_key(d) || quarantined.contains_key(d))
-        .count();
-    if contiguous > 0 {
-        if let Some(text) = read_optional(&dir.join("replay.ckpt"))? {
-            if let Ok(cp) = ReplayCheckpoint::from_text(&text) {
-                if cp.day == days[contiguous - 1] {
-                    if let Ok(st) = EngineState::seed(log, &cp, &Default::default()) {
-                        return Ok((st, contiguous));
-                    }
-                }
-            }
-        }
-        let mut st = EngineState::new(log);
-        st.advance_through_day(days[contiguous - 1]);
-        return Ok((st, contiguous));
-    }
-    Ok((EngineState::new(log), 0))
-}
-
 /// Compute the Figure 1(c)–(f) metric series with checkpoint/resume
-/// support: completed snapshot days are persisted to `dir` after every
-/// batch, and a rerun (same log, same config) picks up where the previous
-/// run stopped, producing byte-identical results to an uninterrupted
-/// [`metric_series`](crate::network::metric_series) run.
+/// support: completed snapshot days are persisted to `dir` as the sweep
+/// goes, and a rerun (same log, same config) computes only the days
+/// `rows.txt` does not hold yet, producing byte-identical results to an
+/// uninterrupted [`metric_series`](crate::network::metric_series) run.
 ///
 /// Infallible with respect to task failures: runs with a default
 /// [`RunPolicy`] and re-raises the first quarantined day as a panic. Use
@@ -470,87 +365,50 @@ pub fn metric_series_checkpointed_supervised(
     Ok(out.expect("unlimited run always completes"))
 }
 
-/// [`metric_series_checkpointed_supervised`] with an explicit snapshot
-/// engine. The checkpoint directory format is engine-agnostic — `meta.txt`
-/// deliberately does not record the engine kind, because both engines
-/// produce bit-identical rows — so a run interrupted under one engine can
-/// be resumed under the other without detection or divergence.
-pub fn metric_series_checkpointed_supervised_with(
-    log: &EventLog,
-    cfg: &MetricSeriesConfig,
-    dir: &Path,
-    policy: &RunPolicy,
-    engine: EngineKind,
-) -> Result<(MetricSeries, Vec<QuarantinedTask>), CheckpointStoreError> {
-    let out = run_metrics_with(log, cfg, dir, usize::MAX, policy, engine)?;
-    Ok(out.expect("unlimited run always completes"))
+/// The rows and quarantine records of a metrics run, and how many days
+/// completed since they were last written.
+struct MetricProgress {
+    rows: BTreeMap<Day, MetricRow>,
+    quarantined: BTreeMap<Day, QuarantinedTask>,
+    unsaved: usize,
 }
 
-/// Write the current metric-run state (rows, quarantine, replay position)
-/// atomically to `dir`. Shared by both engine arms so the on-disk format
-/// cannot drift between them.
-fn persist_metric_state(
-    log: &EventLog,
-    dir: &Path,
-    days: &[Day],
-    rows: &BTreeMap<Day, MetricRow>,
-    quarantined: &BTreeMap<Day, QuarantinedTask>,
-) -> Result<(), CheckpointStoreError> {
-    write_bytes_atomic(&dir.join("rows.txt"), render_rows(rows).as_bytes())?;
-    if !quarantined.is_empty() {
-        write_bytes_atomic(
-            &dir.join("quarantine.txt"),
-            render_quarantine(quarantined).as_bytes(),
-        )?;
+impl MetricProgress {
+    fn record(&mut self, day: Day, verdict: Result<MetricRow, TaskFailure>) {
+        match verdict {
+            Ok(row) => {
+                self.rows.insert(day, row);
+            }
+            Err(failure) => {
+                self.quarantined
+                    .insert(day, QuarantinedTask::from_failure(day, &failure));
+            }
+        }
+        self.unsaved += 1;
     }
-    let done = days
-        .iter()
-        .take_while(|d| rows.contains_key(d) || quarantined.contains_key(d))
-        .count();
-    if done > 0 {
-        let cp = replay_checkpoint_at(log, days[done - 1]);
-        write_bytes_atomic(&dir.join("replay.ckpt"), cp.to_text().as_bytes())?;
+
+    /// Write `rows.txt` (and `quarantine.txt`, once a day is quarantined)
+    /// atomically to `dir`.
+    fn save(&mut self, dir: &Path) -> Result<(), CheckpointStoreError> {
+        write_bytes_atomic(&dir.join("rows.txt"), render_rows(&self.rows).as_bytes())?;
+        if !self.quarantined.is_empty() {
+            write_bytes_atomic(
+                &dir.join("quarantine.txt"),
+                render_quarantine(&self.quarantined).as_bytes(),
+            )?;
+        }
+        self.unsaved = 0;
+        Ok(())
     }
-    Ok(())
 }
 
-/// Assemble the final series exactly like `metric_series` does, skipping
-/// quarantined days (they are reported, never blended).
-fn assemble_metric_series(
-    days: &[Day],
-    rows: &BTreeMap<Day, MetricRow>,
-    quarantined: &BTreeMap<Day, QuarantinedTask>,
-    rows_path: &Path,
-) -> Result<MetricSeries, CheckpointStoreError> {
-    let mut out = MetricSeries {
-        avg_degree: Series::new("avg_degree"),
-        path_length: Series::new("avg_path_length"),
-        clustering: Series::new("avg_clustering"),
-        assortativity: Series::new("assortativity"),
-    };
-    for &day in days {
-        if quarantined.contains_key(&day) {
-            continue;
-        }
-        let Some(r) = rows.get(&day) else {
-            return Err(corrupt(rows_path, format!("missing day {day}")));
-        };
-        let d = day as f64;
-        out.avg_degree.push(d, r.avg_degree);
-        if let Some(p) = r.path_length {
-            out.path_length.push(d, p);
-        }
-        out.clustering.push(d, r.clustering);
-        if let Some(a) = r.assortativity {
-            out.assortativity.push(d, a);
-        }
-    }
-    Ok(out)
-}
-
-/// Worker for [`metric_series_checkpointed_supervised`]: computes at most
-/// `limit_new` missing rows, then returns `None` if snapshots remain
-/// (used by tests to simulate an interrupted run).
+/// Worker for [`metric_series_checkpointed_supervised`]: the direct run's
+/// [`day_sweep`] over the snapshot days that are neither in `rows.txt`
+/// nor quarantined, each computed at its index in the full day list.
+/// Rows and quarantine records are saved every `2 × workers`
+/// completions and at the end. Computes at most `limit_new` missing
+/// rows, then returns `None` if snapshots remain (used by tests to
+/// simulate an interrupted run).
 pub(crate) fn run_metrics(
     log: &EventLog,
     cfg: &MetricSeriesConfig,
@@ -558,213 +416,66 @@ pub(crate) fn run_metrics(
     limit_new: usize,
     policy: &RunPolicy,
 ) -> Result<Option<(MetricSeries, Vec<QuarantinedTask>)>, CheckpointStoreError> {
-    run_metrics_with(log, cfg, dir, limit_new, policy, EngineKind::default())
-}
-
-/// [`run_metrics`] with an explicit engine. Both arms share the meta
-/// check, the persistence helpers and the assembly, so their checkpoint
-/// directories are interchangeable.
-pub(crate) fn run_metrics_with(
-    log: &EventLog,
-    cfg: &MetricSeriesConfig,
-    dir: &Path,
-    limit_new: usize,
-    policy: &RunPolicy,
-    engine: EngineKind,
-) -> Result<Option<(MetricSeries, Vec<QuarantinedTask>)>, CheckpointStoreError> {
     std::fs::create_dir_all(dir)?;
     check_or_init_meta(dir, &metrics_meta_text(log, cfg))?;
-    match engine {
-        EngineKind::Batch => run_metrics_batch(log, cfg, dir, limit_new, policy),
-        EngineKind::Incremental => run_metrics_incremental(log, cfg, dir, limit_new, policy),
-    }
-}
-
-/// Batch arm: freeze a CSR per missing day and fan batches of frozen
-/// snapshots out to the supervised parallel map.
-fn run_metrics_batch(
-    log: &EventLog,
-    cfg: &MetricSeriesConfig,
-    dir: &Path,
-    limit_new: usize,
-    policy: &RunPolicy,
-) -> Result<Option<(MetricSeries, Vec<QuarantinedTask>)>, CheckpointStoreError> {
     let rows_path = dir.join("rows.txt");
-    let mut rows = load_rows(&rows_path)?;
-    let mut quarantined = load_quarantine(&dir.join("quarantine.txt"))?;
+    let progress = MetricProgress {
+        rows: load_rows(&rows_path)?,
+        quarantined: load_quarantine(&dir.join("quarantine.txt"))?,
+        unsaved: 0,
+    };
     let days = snapshot_days(log, cfg.first_day, cfg.stride);
+    let mut todo: Vec<(usize, Day)> = (days.iter().copied().enumerate())
+        .filter(|(_, d)| !progress.rows.contains_key(d) && !progress.quarantined.contains_key(d))
+        .collect();
+    let interrupted = todo.len() > limit_new;
+    todo.truncate(limit_new);
 
-    let workers = if cfg.workers == 0 {
-        osn_metrics::parallel::default_workers()
-    } else {
-        cfg.workers
+    let workers = match cfg.workers {
+        0 => osn_metrics::parallel::default_workers(),
+        n => n,
     };
-    let batch_cap = (workers * 2).max(1);
-    let path_every = cfg.path_every.max(1);
-    let (seed, path_sample, clustering_sample) = (cfg.seed, cfg.path_sample, cfg.clustering_sample);
-    let scfg = policy.supervisor_config(workers);
-    let chaos = policy.chaos.as_ref();
-
-    let (mut replayer, skip) = resume_replayer(log, dir, &days, &rows, &quarantined)?;
-    let mut new_rows = 0usize;
-    let mut batch: Vec<(usize, Day, osn_graph::CsrGraph)> = Vec::new();
-
-    let flush = |batch: &mut Vec<(usize, Day, osn_graph::CsrGraph)>,
-                 rows: &mut BTreeMap<Day, MetricRow>,
-                 quarantined: &mut BTreeMap<Day, QuarantinedTask>|
-     -> Result<(), CheckpointStoreError> {
-        if batch.is_empty() {
-            return Ok(());
+    let save_every = 2 * workers;
+    let todo_days: Vec<Day> = todo.iter().map(|&(_, day)| day).collect();
+    let progress = Mutex::new(progress);
+    let ecfg = EngineConfig::builder().workers(cfg.workers).build();
+    let saves = day_sweep(log, &todo_days, &ecfg, |state, i, day| {
+        let verdict = metric_row(state, todo[i].0, day, cfg, policy);
+        let mut progress = progress
+            .lock()
+            .expect("a sweep worker panicked while saving");
+        progress.record(day, verdict);
+        if progress.unsaved >= save_every {
+            progress.save(dir)
+        } else {
+            Ok(())
         }
-        let batch_days: Vec<Day> = batch.iter().map(|&(_, day, _)| day).collect();
-        let verdicts = try_par_map_labeled(
-            batch.drain(..),
-            &scfg,
-            |_, &(_, day, _)| format!("day-{day}"),
-            move |att, (idx, day, g)| {
-                chaos_gate(chaos, *day as u64, att.attempt)?;
-                let mut rng = rng_from_seed(derive_seed(seed, *day as u64));
-                let path_length = if idx % path_every == 0 {
-                    avg_path_length_sampled(g, path_sample, &mut rng)
-                } else {
-                    None
-                };
-                Ok((
-                    *day,
-                    MetricRow {
-                        avg_degree: g.average_degree(),
-                        path_length,
-                        clustering: average_clustering(g, clustering_sample, &mut rng),
-                        assortativity: degree_assortativity(g),
-                    },
-                ))
-            },
-        );
-        for (slot, verdict) in verdicts.into_iter().enumerate() {
-            match verdict {
-                Ok((day, row)) => {
-                    rows.insert(day, row);
-                }
-                Err(failure) => {
-                    let day = batch_days[slot];
-                    quarantined.insert(day, QuarantinedTask::from_failure(day, &failure));
-                }
-            }
-        }
-        persist_metric_state(log, dir, &days, rows, quarantined)
-    };
-
-    for (idx, &day) in days.iter().enumerate().skip(skip) {
-        if rows.contains_key(&day) || quarantined.contains_key(&day) {
-            // Already computed (or quarantined) by a previous run past the
-            // contiguous prefix; still advance the replay so later days
-            // are correct.
-            replayer.advance_through_day(day);
-            continue;
-        }
-        if new_rows >= limit_new {
-            flush(&mut batch, &mut rows, &mut quarantined)?;
-            return Ok(None);
-        }
-        replayer.advance_through_day(day);
-        batch.push((idx, day, replayer.freeze()));
-        new_rows += 1;
-        if batch.len() >= batch_cap {
-            flush(&mut batch, &mut rows, &mut quarantined)?;
-        }
+    });
+    let mut progress = progress
+        .into_inner()
+        .expect("a sweep worker panicked while saving");
+    saves.into_iter().collect::<Result<(), _>>()?;
+    if progress.unsaved > 0 {
+        progress.save(dir)?;
     }
-    flush(&mut batch, &mut rows, &mut quarantined)?;
-
-    let out = assemble_metric_series(&days, &rows, &quarantined, &rows_path)?;
-    Ok(Some((out, quarantined.into_values().collect())))
-}
-
-/// Incremental arm: one evolving [`EngineState`] walks the trace once,
-/// computing each missing day's row in place (no CSR freeze). Rows are
-/// persisted with the same cadence the batch arm uses, so kill-and-resume
-/// behaviour is equivalent.
-fn run_metrics_incremental(
-    log: &EventLog,
-    cfg: &MetricSeriesConfig,
-    dir: &Path,
-    limit_new: usize,
-    policy: &RunPolicy,
-) -> Result<Option<(MetricSeries, Vec<QuarantinedTask>)>, CheckpointStoreError> {
-    let rows_path = dir.join("rows.txt");
-    let mut rows = load_rows(&rows_path)?;
-    let mut quarantined = load_quarantine(&dir.join("quarantine.txt"))?;
-    let days = snapshot_days(log, cfg.first_day, cfg.stride);
-
-    let workers = if cfg.workers == 0 {
-        osn_metrics::parallel::default_workers()
-    } else {
-        cfg.workers
-    };
-    let flush_cap = (workers * 2).max(1);
-    let path_every = cfg.path_every.max(1);
-    let (seed, path_sample, clustering_sample) = (cfg.seed, cfg.path_sample, cfg.clustering_sample);
-    let scfg = policy.supervisor_config(1);
-    let chaos = policy.chaos.as_ref();
-
-    let (mut state, skip) = resume_engine_state(log, dir, &days, &rows, &quarantined)?;
-    let mut new_rows = 0usize;
-    let mut pending = 0usize;
-
-    for (idx, &day) in days.iter().enumerate().skip(skip) {
-        if rows.contains_key(&day) || quarantined.contains_key(&day) {
-            // Already computed (or quarantined) past the contiguous
-            // prefix; still advance so later days see the right graph.
-            state.advance_through_day(day);
-            continue;
-        }
-        if new_rows >= limit_new {
-            if pending > 0 {
-                persist_metric_state(log, dir, &days, &rows, &quarantined)?;
-            }
-            return Ok(None);
-        }
-        state.advance_through_day(day);
-        let verdict = {
-            let state = &mut state;
-            supervised_call(&format!("day-{day}"), &scfg, |attempt| {
-                chaos_gate(chaos, day as u64, attempt)?;
-                let mut rng = rng_from_seed(derive_seed(seed, day as u64));
-                let path_length = if idx % path_every == 0 {
-                    let giant = state.giant_component();
-                    avg_path_length_over_component(state.graph(), &giant, path_sample, &mut rng)
-                } else {
-                    None
-                };
-                let g = state.graph();
-                Ok(MetricRow {
-                    avg_degree: g.average_degree(),
-                    path_length,
-                    clustering: average_clustering(g, clustering_sample, &mut rng),
-                    assortativity: degree_assortativity(g),
-                })
-            })
-        };
-        match verdict {
-            Ok(row) => {
-                rows.insert(day, row);
-            }
-            Err(failure) => {
-                quarantined.insert(day, QuarantinedTask::from_failure(day, &failure));
-            }
-        }
-        new_rows += 1;
-        pending += 1;
-        if pending >= flush_cap {
-            persist_metric_state(log, dir, &days, &rows, &quarantined)?;
-            pending = 0;
-        }
-    }
-    if pending > 0 {
-        persist_metric_state(log, dir, &days, &rows, &quarantined)?;
+    if interrupted {
+        return Ok(None);
     }
 
-    let out = assemble_metric_series(&days, &rows, &quarantined, &rows_path)?;
-    Ok(Some((out, quarantined.into_values().collect())))
+    let MetricProgress {
+        rows, quarantined, ..
+    } = progress;
+    let mut kept = Vec::with_capacity(days.len());
+    for day in days.into_iter().filter(|d| !quarantined.contains_key(d)) {
+        let row = rows
+            .get(&day)
+            .ok_or_else(|| corrupt(&rows_path, format!("missing day {day}")))?;
+        kept.push((day, *row));
+    }
+    Ok(Some((
+        MetricSeries::from_rows(kept),
+        quarantined.into_values().collect(),
+    )))
 }
 
 // ---------------------------------------------------------------------------
@@ -1004,8 +715,6 @@ pub(crate) fn run_communities(
                     &state_path,
                     render_communities_state(&summaries, &state).as_bytes(),
                 )?;
-                let cp = replayer.checkpoint(day);
-                write_bytes_atomic(&dir.join("replay.ckpt"), cp.to_text().as_bytes())?;
             }
             Err(failure) => {
                 quarantined.insert(day, QuarantinedTask::from_failure(day, &failure));
@@ -1087,70 +796,7 @@ mod tests {
         let partial = run_metrics(&log, &cfg, &dir, 3, &RunPolicy::default()).unwrap();
         assert!(partial.is_none(), "run should have been interrupted");
         assert!(dir.join("rows.txt").exists());
-        assert!(dir.join("replay.ckpt").exists());
         let resumed = metric_series_checkpointed(&log, &cfg, &dir).unwrap();
-        assert_series_eq(&resumed, &metric_series(&log, &cfg));
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn checkpoint_dirs_are_engine_agnostic() {
-        let log = tiny_log();
-        let cfg = metric_cfg();
-        // Pure runs under each engine: every persisted byte must match.
-        let dir_b = tmp_dir("metrics_engine_b");
-        let dir_i = tmp_dir("metrics_engine_i");
-        let policy = RunPolicy::default();
-        let (s_b, _) = metric_series_checkpointed_supervised_with(
-            &log,
-            &cfg,
-            &dir_b,
-            &policy,
-            EngineKind::Batch,
-        )
-        .unwrap();
-        let (s_i, _) = metric_series_checkpointed_supervised_with(
-            &log,
-            &cfg,
-            &dir_i,
-            &policy,
-            EngineKind::Incremental,
-        )
-        .unwrap();
-        assert_series_eq(&s_i, &s_b);
-        for file in ["meta.txt", "rows.txt", "replay.ckpt"] {
-            let a = std::fs::read(dir_b.join(file)).unwrap();
-            let b = std::fs::read(dir_i.join(file)).unwrap();
-            assert_eq!(a, b, "{file} differs between engines");
-        }
-        std::fs::remove_dir_all(&dir_b).unwrap();
-        std::fs::remove_dir_all(&dir_i).unwrap();
-    }
-
-    #[test]
-    fn interrupted_run_can_switch_engines_on_resume() {
-        let log = tiny_log();
-        let cfg = metric_cfg();
-        let dir = tmp_dir("metrics_engine_switch");
-        // Kill an incremental run mid-way, resume it under batch.
-        let partial = run_metrics_with(
-            &log,
-            &cfg,
-            &dir,
-            3,
-            &RunPolicy::default(),
-            EngineKind::Incremental,
-        )
-        .unwrap();
-        assert!(partial.is_none(), "run should have been interrupted");
-        let (resumed, _) = metric_series_checkpointed_supervised_with(
-            &log,
-            &cfg,
-            &dir,
-            &RunPolicy::default(),
-            EngineKind::Batch,
-        )
-        .unwrap();
         assert_series_eq(&resumed, &metric_series(&log, &cfg));
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -1357,6 +1003,40 @@ mod tests {
 
         std::fs::remove_dir_all(&dir_a).unwrap();
         std::fs::remove_dir_all(&dir_b).unwrap();
+    }
+
+    #[test]
+    fn parallel_resume_with_quarantine_is_byte_identical() {
+        let log = tiny_log();
+        let cfg = MetricSeriesConfig {
+            stride: 10,
+            workers: 3,
+            ..metric_cfg()
+        };
+        let days = snapshot_days(&log, cfg.first_day, cfg.stride);
+        // Cut after an odd number of rows, short of one save cadence
+        // (2 × 3), with a poisoned day past the cut.
+        let cut = 5;
+        let bad_day = days[cut + 2];
+        let policy = panic_plan(bad_day);
+        let dir = tmp_dir("metrics_parallel_resume");
+        assert!(run_metrics(&log, &cfg, &dir, cut, &policy)
+            .unwrap()
+            .is_none());
+        let saved = load_rows(&dir.join("rows.txt")).unwrap();
+        assert_eq!(saved.keys().copied().collect::<Vec<_>>(), days[..cut]);
+        assert!(!dir.join("quarantine.txt").exists());
+
+        let (resumed, quarantined) =
+            metric_series_checkpointed_supervised(&log, &cfg, &dir, &policy).unwrap();
+        let (direct, failures) = crate::network::metric_series_supervised(&log, &cfg, &policy);
+        assert_eq!(resumed.to_table().to_csv(), direct.to_table().to_csv());
+        assert_eq!(quarantined.len(), 1);
+        assert_eq!(quarantined[0].day, bad_day);
+        assert_eq!(failures.len(), 1);
+        assert_eq!(failures[0].day, bad_day);
+        assert!(!dir.join("replay.ckpt").exists());
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -26,7 +26,7 @@
 //!
 //! ## Crash resume
 //!
-//! After every publish the head writes an engine-agnostic
+//! After every publish the head writes a
 //! [`ReplayCheckpoint`] (`head.ckpt`, atomic tmp+rename) whose `pos` is
 //! the published day-boundary event position and whose fingerprint is
 //! the published prefix's [`EventLog::fingerprint`]. On restart the

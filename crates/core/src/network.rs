@@ -5,7 +5,7 @@
 //! length, average clustering coefficient, degree assortativity.
 
 use osn_graph::{Day, EventKind, EventLog, EventLogBuilder, NodeId, Origin, Time};
-use osn_metrics::engine::{day_sweep, EngineConfig, EngineKind};
+use osn_metrics::engine::{day_sweep, EngineConfig, EngineKind, EngineState};
 use osn_metrics::parallel::par_map;
 use osn_metrics::supervisor::{
     chaos_gate, supervised_call, try_par_map_labeled, RunPolicy, TaskFailure,
@@ -207,23 +207,96 @@ pub struct DayFailure {
     pub failure: TaskFailure,
 }
 
-/// One finished snapshot row of the Figure 1(c)–(f) sweep.
-struct Row {
-    day: Day,
-    avg_degree: f64,
-    path_length: Option<f64>,
-    clustering: f64,
-    assortativity: Option<f64>,
+/// One finished snapshot row of the Figure 1(c)–(f) sweep. The direct
+/// and the checkpointed run both produce it; the checkpoint store
+/// persists it keyed by day.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct MetricRow {
+    pub(crate) avg_degree: f64,
+    pub(crate) path_length: Option<f64>,
+    pub(crate) clustering: f64,
+    pub(crate) assortativity: Option<f64>,
 }
 
-/// Batch arm: materialise a frozen CSR per snapshot day and fan the days
-/// out to the supervised parallel map. O(N+E) per snapshot; kept as the
-/// oracle the incremental engine is differentially tested against.
+impl MetricSeries {
+    /// The series of `rows`, given in ascending day order.
+    pub(crate) fn from_rows(rows: impl IntoIterator<Item = (Day, MetricRow)>) -> MetricSeries {
+        let mut out = MetricSeries {
+            avg_degree: Series::new("avg_degree"),
+            path_length: Series::new("avg_path_length"),
+            clustering: Series::new("avg_clustering"),
+            assortativity: Series::new("assortativity"),
+        };
+        for (day, r) in rows {
+            let d = day as f64;
+            out.avg_degree.push(d, r.avg_degree);
+            if let Some(p) = r.path_length {
+                out.path_length.push(d, p);
+            }
+            out.clustering.push(d, r.clustering);
+            if let Some(a) = r.assortativity {
+                out.assortativity.push(d, a);
+            }
+        }
+        out
+    }
+}
+
+/// The snapshot days of the sweep: every `stride` days from `first_day`
+/// through the trace's last day, as `DailySnapshots` visits them.
+pub(crate) fn snapshot_days(log: &EventLog, first_day: Day, stride: Day) -> Vec<Day> {
+    assert!(stride > 0, "stride must be positive");
+    (first_day..=log.end_day())
+        .step_by(stride as usize)
+        .collect()
+}
+
+/// The supervised per-day task of the sweep, on engine state already
+/// advanced through `day`. `idx` is the day's position in the full
+/// snapshot day list, which decides whether the path length is sampled.
+///
+/// Supervision is per day (panic isolation, retries, chaos injection,
+/// post-hoc deadline); [`day_sweep`] handles parallelism itself, so the
+/// supervisor runs inline on the sweep worker.
+pub(crate) fn metric_row(
+    state: &mut EngineState<'_>,
+    idx: usize,
+    day: Day,
+    cfg: &MetricSeriesConfig,
+    policy: &RunPolicy,
+) -> Result<MetricRow, TaskFailure> {
+    let scfg = policy.supervisor_config(1);
+    supervised_call(&format!("day-{day}"), &scfg, |attempt| {
+        chaos_gate(policy.chaos.as_ref(), day as u64, attempt)?;
+        let mut rng = rng_from_seed(derive_seed(cfg.seed, day as u64));
+        let path_length = if idx.is_multiple_of(cfg.path_every.max(1)) {
+            // Giant component from the live union-find (no BFS labelling
+            // pass), then the same sampled-BFS kernel the batch oracle
+            // runs inside `avg_path_length_sampled`.
+            let giant = state.giant_component();
+            avg_path_length_over_component(state.graph(), &giant, cfg.path_sample, &mut rng)
+        } else {
+            None
+        };
+        let g = state.graph();
+        Ok(MetricRow {
+            avg_degree: g.average_degree(),
+            path_length,
+            clustering: average_clustering(g, cfg.clustering_sample, &mut rng),
+            assortativity: degree_assortativity(g),
+        })
+    })
+}
+
+/// Batch oracle: materialise a frozen CSR per snapshot day and fan the
+/// days out to the supervised parallel map. O(N+E) per snapshot; kept
+/// only as the reference `crates/core/tests/engine_differential.rs`
+/// compares the incremental sweep against.
 fn sweep_batch(
     log: &EventLog,
     cfg: &MetricSeriesConfig,
     policy: &RunPolicy,
-) -> Vec<Result<Row, TaskFailure>> {
+) -> Vec<Result<MetricRow, TaskFailure>> {
     let snaps = osn_graph::DailySnapshots::new(log, cfg.first_day, cfg.stride);
     let path_every = cfg.path_every.max(1);
     let seed = cfg.seed;
@@ -245,8 +318,7 @@ fn sweep_batch(
             } else {
                 None
             };
-            Ok(Row {
-                day: snap.day,
+            Ok(MetricRow {
                 avg_degree: g.average_degree(),
                 path_length,
                 clustering: average_clustering(g, clustering_sample, &mut rng),
@@ -256,59 +328,10 @@ fn sweep_batch(
     )
 }
 
-/// Incremental arm: one evolving graph per shard, metric state updated
-/// per edge event by the delta observer, no per-day CSR freeze. Byte-
-/// identical to [`sweep_batch`]: the samplers run the same kernels over
-/// [`osn_graph::GraphView`], the giant component uses the same
-/// partition-deterministic tie-break, and the per-day RNG stream is
-/// derived identically.
-fn sweep_incremental(
-    log: &EventLog,
-    cfg: &MetricSeriesConfig,
-    policy: &RunPolicy,
-) -> Vec<Result<Row, TaskFailure>> {
-    assert!(cfg.stride > 0, "stride must be positive");
-    let days: Vec<Day> = (cfg.first_day..=log.end_day())
-        .step_by(cfg.stride as usize)
-        .collect();
-    let path_every = cfg.path_every.max(1);
-    let seed = cfg.seed;
-    let path_sample = cfg.path_sample;
-    let clustering_sample = cfg.clustering_sample;
-    let chaos = policy.chaos.as_ref();
-
-    // Supervision is per day (panic isolation, retries, chaos injection,
-    // post-hoc deadline); the engine sweep handles parallelism itself, so
-    // the per-call supervisor runs inline on the sweep worker.
-    let scfg = policy.supervisor_config(1);
-    let ecfg = EngineConfig::builder().workers(cfg.workers).build();
-    day_sweep(log, &days, &ecfg, |state, idx, day| {
-        supervised_call(&format!("day-{day}"), &scfg, |attempt| {
-            chaos_gate(chaos, day as u64, attempt)?;
-            let mut rng = rng_from_seed(derive_seed(seed, day as u64));
-            let path_length = if idx % path_every == 0 {
-                // Giant component from the live union-find (no BFS
-                // labelling pass), then the same sampled-BFS kernel the
-                // batch arm runs inside `avg_path_length_sampled`.
-                let giant = state.giant_component();
-                avg_path_length_over_component(state.graph(), &giant, path_sample, &mut rng)
-            } else {
-                None
-            };
-            let g = state.graph();
-            Ok(Row {
-                day,
-                avg_degree: g.average_degree(),
-                path_length,
-                clustering: average_clustering(g, clustering_sample, &mut rng),
-                assortativity: degree_assortativity(g),
-            })
-        })
-    })
-}
-
-/// Compute the four Figure 1(c)–(f) metrics over per-day snapshots,
-/// fanning snapshots out to supervised worker threads.
+/// Compute the four Figure 1(c)–(f) metrics over per-day snapshots with
+/// the incremental engine: one evolving graph per shard, metric state
+/// updated per edge event, no per-day CSR freeze, the day range split
+/// across worker threads by [`day_sweep`].
 ///
 /// Days whose task fails (panic, fatal error, exhausted retries, or
 /// deadline overrun, per `policy`) are *quarantined*: they are absent
@@ -316,63 +339,43 @@ fn sweep_incremental(
 /// callers can record them instead of silently blending a gap. Worker
 /// count and supervision policy never affect the values of successful
 /// days.
-///
-/// Uses the default engine ([`EngineKind::Incremental`]); see
-/// [`metric_series_supervised_with`] to pick explicitly. Both engines
-/// produce byte-identical series.
 pub fn metric_series_supervised(
     log: &EventLog,
     cfg: &MetricSeriesConfig,
     policy: &RunPolicy,
 ) -> (MetricSeries, Vec<DayFailure>) {
-    metric_series_supervised_with(log, cfg, policy, EngineKind::default())
+    metric_series_supervised_with(log, cfg, policy, EngineKind::Incremental)
 }
 
-/// [`metric_series_supervised`] with an explicit snapshot engine.
-///
-/// `EngineKind::Batch` rebuilds a frozen CSR per snapshot day (the
-/// original oracle path); `EngineKind::Incremental` replays one evolving
-/// graph per shard and maintains metric state per edge event. The two
-/// are byte-identical — same rows, same quarantine decisions under the
-/// same chaos plan — differing only in throughput.
+/// [`metric_series_supervised`] on an explicit snapshot engine, for the
+/// differential tests: `EngineKind::Batch` runs the frozen-CSR oracle,
+/// which yields the same rows and the same quarantine decisions under
+/// the same chaos plan.
 pub fn metric_series_supervised_with(
     log: &EventLog,
     cfg: &MetricSeriesConfig,
     policy: &RunPolicy,
     engine: EngineKind,
 ) -> (MetricSeries, Vec<DayFailure>) {
+    let days = snapshot_days(log, cfg.first_day, cfg.stride);
     let verdicts = match engine {
         EngineKind::Batch => sweep_batch(log, cfg, policy),
-        EngineKind::Incremental => sweep_incremental(log, cfg, policy),
+        EngineKind::Incremental => {
+            let ecfg = EngineConfig::builder().workers(cfg.workers).build();
+            day_sweep(log, &days, &ecfg, |state, idx, day| {
+                metric_row(state, idx, day, cfg, policy)
+            })
+        }
     };
-
-    let mut out = MetricSeries {
-        avg_degree: Series::new("avg_degree"),
-        path_length: Series::new("avg_path_length"),
-        clustering: Series::new("avg_clustering"),
-        assortativity: Series::new("assortativity"),
-    };
+    let mut rows = Vec::with_capacity(days.len());
     let mut failures = Vec::new();
-    for (idx, verdict) in verdicts.into_iter().enumerate() {
+    for (day, verdict) in days.into_iter().zip(verdicts) {
         match verdict {
-            Ok(r) => {
-                let d = r.day as f64;
-                out.avg_degree.push(d, r.avg_degree);
-                if let Some(p) = r.path_length {
-                    out.path_length.push(d, p);
-                }
-                out.clustering.push(d, r.clustering);
-                if let Some(a) = r.assortativity {
-                    out.assortativity.push(d, a);
-                }
-            }
-            Err(failure) => failures.push(DayFailure {
-                day: cfg.first_day + idx as Day * cfg.stride,
-                failure,
-            }),
+            Ok(row) => rows.push((day, row)),
+            Err(failure) => failures.push(DayFailure { day, failure }),
         }
     }
-    (out, failures)
+    (MetricSeries::from_rows(rows), failures)
 }
 
 /// Compute the four Figure 1(c)–(f) metrics over per-day snapshots,

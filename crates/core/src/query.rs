@@ -19,11 +19,9 @@
 //! gaps.
 
 use crate::communities::{track, CommunityAnalysisConfig};
-use crate::network::{metric_series_supervised_with, MetricSeries, MetricSeriesConfig};
+use crate::network::{metric_series, MetricSeries, MetricSeriesConfig};
 use osn_community::SnapshotSummary;
 use osn_graph::{Day, EventLog};
-use osn_metrics::engine::EngineKind;
-use osn_metrics::supervisor::RunPolicy;
 use osn_stats::{Series, Table};
 use std::fmt::Display;
 use std::fmt::Write as _;
@@ -40,11 +38,6 @@ pub struct SnapshotQueryConfig {
     pub metrics: MetricSeriesConfig,
     /// §4 community-tracking parameters.
     pub communities: CommunityAnalysisConfig,
-    /// Snapshot engine for the metric sweep (batch CSR rebuilds vs the
-    /// incremental delta engine). Both produce byte-identical tables;
-    /// community tracking freezes a CSR per snapshot under either kind
-    /// because Louvain needs a frozen adjacency.
-    pub engine: EngineKind,
 }
 
 /// Builder for [`SnapshotQuery`]: collects a [`SnapshotQueryConfig`]
@@ -65,12 +58,6 @@ impl SnapshotQueryBuilder {
     /// Set the community-tracking parameters.
     pub fn communities(mut self, communities: CommunityAnalysisConfig) -> Self {
         self.cfg.communities = communities;
-        self
-    }
-
-    /// Pick the snapshot engine.
-    pub fn engine(mut self, engine: EngineKind) -> Self {
-        self.cfg.engine = engine;
         self
     }
 
@@ -138,8 +125,8 @@ impl JsonObject {
         self
     }
 
-    /// A string field. Values here are version strings, engine names and
-    /// hex fingerprints; backslashes and quotes are escaped for safety.
+    /// A string field. Values here are version strings and hex
+    /// fingerprints; backslashes and quotes are escaped for safety.
     fn str_field(mut self, key: &str, v: &str) -> Self {
         self.key(key);
         self.buf.push('"');
@@ -360,7 +347,6 @@ pub struct TraceMeta {
 #[derive(Debug, Clone)]
 pub struct SnapshotQuery {
     meta: TraceMeta,
-    engine: EngineKind,
     metric_rows: Vec<MetricsRow>,
     community_rows: Vec<CommunityRow>,
     metrics_csv: String,
@@ -384,12 +370,7 @@ impl SnapshotQuery {
         let _span = osn_obs::span!("query.build");
         let m = {
             let _s = osn_obs::span!("metrics");
-            let (series, failures) =
-                metric_series_supervised_with(log, &cfg.metrics, &RunPolicy::default(), cfg.engine);
-            if let Some(df) = failures.first() {
-                panic!("metric sweep failed on day {}: {}", df.day, df.failure);
-            }
-            series
+            metric_series(log, &cfg.metrics)
         };
         let (summaries, _) = {
             let _s = osn_obs::span!("communities");
@@ -411,7 +392,6 @@ impl SnapshotQuery {
                 num_days: log.end_day() + 1,
                 fingerprint: log.fingerprint(),
             },
-            engine: cfg.engine,
             metric_rows,
             community_rows,
             metrics_csv,
@@ -422,11 +402,6 @@ impl SnapshotQuery {
     /// Trace identity summary.
     pub fn meta(&self) -> TraceMeta {
         self.meta
-    }
-
-    /// The snapshot engine the metric table was built with.
-    pub fn engine(&self) -> EngineKind {
-        self.engine
     }
 
     /// Days with a metrics row, ascending.
@@ -505,15 +480,13 @@ impl SnapshotQuery {
             .finish()
     }
 
-    /// `/v1/meta` body: trace identity plus how the answers were built
-    /// (engine kind and the serving crate's version).
+    /// `/v1/meta` body: trace identity plus the serving crate's version.
     pub fn meta_json(&self, version: &str) -> String {
         JsonObject::new()
             .num("nodes", self.meta.num_nodes)
             .num("edges", self.meta.num_edges)
             .num("days", self.meta.num_days)
             .str_field("fingerprint", &format!("{:016x}", self.meta.fingerprint))
-            .str_field("engine", self.engine.as_str())
             .str_field("version", version)
             .finish()
     }
@@ -618,15 +591,11 @@ mod tests {
     }
 
     #[test]
-    fn meta_json_reports_engine_and_version() {
+    fn meta_json_reports_trace_and_version() {
         let log = tiny_log();
-        let mut cfg = tiny_cfg();
-        cfg.engine = EngineKind::Batch;
-        let q = SnapshotQuery::build(&log, &cfg);
-        assert_eq!(q.engine(), EngineKind::Batch);
+        let q = SnapshotQuery::build(&log, &tiny_cfg());
         let json = q.meta_json("1.2.3");
         assert_eq!(json.lines().count(), 1);
-        assert!(json.contains("\"engine\":\"batch\""));
         assert!(json.contains("\"version\":\"1.2.3\""));
         assert!(json.contains(&format!("\"days\":{}", log.end_day() + 1)));
     }
@@ -651,24 +620,5 @@ mod tests {
             .expect("path_every=2 leaves gaps");
         assert!(without.to_json().contains("\"avg_path_length\":null"));
         assert!(!with_path.to_json().contains("\"avg_path_length\":null"));
-    }
-
-    #[test]
-    fn engines_build_byte_identical_queries() {
-        let log = tiny_log();
-        let base = tiny_cfg();
-        let q_inc = SnapshotQuery::builder()
-            .metrics(base.metrics)
-            .communities(base.communities)
-            .engine(EngineKind::Incremental)
-            .build(&log);
-        let q_batch = SnapshotQuery::builder()
-            .metrics(base.metrics)
-            .communities(base.communities)
-            .engine(EngineKind::Batch)
-            .build(&log);
-        assert_eq!(q_inc.metrics_csv(), q_batch.metrics_csv());
-        assert_eq!(q_inc.communities_csv(), q_batch.communities_csv());
-        assert_eq!(q_inc.days_json(), q_batch.days_json());
     }
 }

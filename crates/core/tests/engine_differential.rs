@@ -1,7 +1,9 @@
 //! Differential tests: the incremental engine must be indistinguishable
 //! from the batch oracle, byte for byte, on arbitrary event logs — not
 //! just the generator's — and must quarantine the same days under
-//! injected faults.
+//! injected faults. This suite is the only place production metrics are
+//! compared against the oracle; the case count follows
+//! `PROPTEST_CASES` (64 by default).
 
 use osn_core::network::{metric_series_supervised_with, MetricSeriesConfig};
 use osn_graph::testutil::{ChaosAction, ChaosTaskPlan};
@@ -41,12 +43,12 @@ fn build_log(days: u64, script: &[(u8, Vec<(u16, u16)>)]) -> EventLog {
 
 fn run_engine(log: &EventLog, cfg: &MetricSeriesConfig, engine: EngineKind) -> String {
     let (series, failures) = metric_series_supervised_with(log, cfg, &RunPolicy::default(), engine);
-    assert!(failures.is_empty(), "{engine}: unexpected failures");
+    assert!(failures.is_empty(), "{engine:?}: unexpected failures");
     series.to_table().to_csv()
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::default())]
 
     /// Random event logs through both engines produce identical metric
     /// tables — sampled kernels included, since both derive their RNG

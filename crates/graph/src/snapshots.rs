@@ -24,13 +24,6 @@ pub enum CheckpointError {
         /// Fingerprint of the log being resumed.
         actual: u64,
     },
-    /// The checkpoint position exceeds the log length.
-    OutOfRange {
-        /// Recorded event position.
-        pos: usize,
-        /// Number of events in the log.
-        len: usize,
-    },
 }
 
 impl fmt::Display for CheckpointError {
@@ -42,9 +35,6 @@ impl fmt::Display for CheckpointError {
                 "checkpoint was taken from a different trace \
                  (recorded fingerprint {recorded:016x}, trace has {actual:016x})"
             ),
-            CheckpointError::OutOfRange { pos, len } => {
-                write!(f, "checkpoint position {pos} exceeds log length {len}")
-            }
         }
     }
 }
@@ -56,7 +46,7 @@ impl std::error::Error for CheckpointError {}
 /// checkpoint is never applied to the wrong log.
 ///
 /// The text encoding is a tiny line-based format (see [`Self::to_text`])
-/// written atomically by the CLI's `--checkpoint` support.
+/// that the live head writes atomically as `head.ckpt`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReplayCheckpoint {
     /// Index of the next unapplied event.
@@ -227,47 +217,6 @@ impl<'a> Replayer<'a> {
     pub fn freeze(&self) -> CsrGraph {
         self.graph.freeze()
     }
-
-    /// Capture the current position as a checkpoint, recording `day` as
-    /// the last fully-processed day.
-    pub fn checkpoint(&self, day: Day) -> ReplayCheckpoint {
-        ReplayCheckpoint {
-            pos: self.pos,
-            day,
-            fingerprint: self.log.fingerprint(),
-        }
-    }
-
-    /// Reconstruct a replayer at a checkpointed position by re-applying
-    /// the event prefix. Refuses checkpoints taken from a different trace
-    /// or pointing past the end of the log.
-    pub fn resume(log: &'a EventLog, cp: &ReplayCheckpoint) -> Result<Self, CheckpointError> {
-        let actual = log.fingerprint();
-        if cp.fingerprint != actual {
-            return Err(CheckpointError::FingerprintMismatch {
-                recorded: cp.fingerprint,
-                actual,
-            });
-        }
-        if cp.pos > log.events().len() {
-            return Err(CheckpointError::OutOfRange {
-                pos: cp.pos,
-                len: log.events().len(),
-            });
-        }
-        let mut r = Replayer::new(log);
-        let events = log.events();
-        while r.pos < cp.pos {
-            if let Err(e) = r.graph.apply(&events[r.pos]) {
-                panic!(
-                    "validated EventLog produced a malformed event at position {}: {e}",
-                    r.pos
-                );
-            }
-            r.pos += 1;
-        }
-        Ok(r)
-    }
 }
 
 /// A snapshot emitted by [`DailySnapshots`].
@@ -435,50 +384,5 @@ mod tests {
         assert!(ReplayCheckpoint::from_text("garbage").is_err());
         assert!(ReplayCheckpoint::from_text("#%osn-checkpoint v1\npos x\n").is_err());
         assert!(ReplayCheckpoint::from_text("#%osn-checkpoint v1\npos 1\n").is_err());
-    }
-
-    #[test]
-    fn resume_matches_uninterrupted_replay() {
-        let log = log_over_five_days();
-        let mut full = Replayer::new(&log);
-        full.advance_through_day(2);
-        let cp = full.checkpoint(2);
-        let resumed = Replayer::resume(&log, &cp).unwrap();
-        assert_eq!(resumed.position(), full.position());
-        assert_eq!(resumed.graph().num_nodes(), full.graph().num_nodes());
-        assert_eq!(resumed.graph().num_edges(), full.graph().num_edges());
-        // Continue both to the end; they must stay in lockstep.
-        let mut resumed = resumed;
-        full.advance_to_end();
-        resumed.advance_to_end();
-        assert_eq!(resumed.position(), full.position());
-        assert_eq!(resumed.graph().num_edges(), full.graph().num_edges());
-    }
-
-    #[test]
-    fn resume_rejects_wrong_trace() {
-        let log = log_over_five_days();
-        let mut other_b = EventLogBuilder::new();
-        other_b.add_node(Time(0), Origin::Core).unwrap();
-        let other = other_b.build();
-        let mut r = Replayer::new(&log);
-        r.advance_through_day(1);
-        let cp = r.checkpoint(1);
-        let err = Replayer::resume(&other, &cp).unwrap_err();
-        assert!(matches!(err, CheckpointError::FingerprintMismatch { .. }));
-    }
-
-    #[test]
-    fn resume_rejects_out_of_range() {
-        let log = log_over_five_days();
-        let cp = ReplayCheckpoint {
-            pos: log.events().len() + 1,
-            day: 9,
-            fingerprint: log.fingerprint(),
-        };
-        assert!(matches!(
-            Replayer::resume(&log, &cp),
-            Err(CheckpointError::OutOfRange { .. })
-        ));
     }
 }

@@ -1,11 +1,11 @@
 //! Delta-driven snapshot engine.
 //!
-//! The batch pipeline (`osn_core::network::metric_series_supervised` with
-//! [`EngineKind::Batch`]) replays the event log and **freezes a CSR
-//! snapshot per day**, paying `O(N + E)` per snapshot before any metric
-//! runs. Day-over-day deltas in OSN traces are tiny relative to the
-//! accumulated graph, so this module maintains **one evolving graph** and
-//! per-metric incremental state instead:
+//! The batch oracle (`osn_core::network::metric_series_supervised_with`
+//! with [`EngineKind::Batch`], kept for differential tests) replays the
+//! event log and **freezes a CSR snapshot per day**, paying `O(N + E)`
+//! per snapshot before any metric runs. Day-over-day deltas in OSN traces
+//! are tiny relative to the accumulated graph, so this module maintains
+//! **one evolving graph** and per-metric incremental state instead:
 //!
 //! * degree histogram — `O(1)` per edge event;
 //! * connected components — a live [`UnionFind`] updated per edge, so the
@@ -39,8 +39,6 @@ use osn_graph::{
     CheckpointError, Day, DynamicGraph, EventLog, NodeId, Origin, ReplayCheckpoint, Replayer, Time,
     UnionFind,
 };
-use std::fmt;
-use std::str::FromStr;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -48,43 +46,13 @@ use std::sync::Mutex;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EngineKind {
     /// Freeze a CSR snapshot per day and recompute everything on it.
-    /// Slower, trivially correct — kept as the oracle the incremental
-    /// engine is differentially tested against.
+    /// Slower, trivially correct — kept only as the oracle the
+    /// incremental engine is differentially tested against.
     Batch,
     /// Maintain one evolving graph plus per-metric incremental state;
-    /// never freezes a snapshot. The default.
+    /// never freezes a snapshot. The only production engine.
     #[default]
     Incremental,
-}
-
-impl EngineKind {
-    /// Stable lowercase name (`"batch"` / `"incremental"`).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            EngineKind::Batch => "batch",
-            EngineKind::Incremental => "incremental",
-        }
-    }
-}
-
-impl fmt::Display for EngineKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-impl FromStr for EngineKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, String> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "batch" => Ok(EngineKind::Batch),
-            "incremental" => Ok(EngineKind::Incremental),
-            other => Err(format!(
-                "unknown engine '{other}' (expected 'batch' or 'incremental')"
-            )),
-        }
-    }
 }
 
 /// Tuning knobs for [`day_sweep`].
@@ -96,9 +64,6 @@ impl FromStr for EngineKind {
 pub struct EngineConfig {
     /// Worker threads for the day sweep (0 = auto).
     pub workers: usize,
-    /// Days per work-stealing chunk (0 = auto: the day list split in
-    /// roughly `4 × workers` contiguous chunks).
-    pub chunk_days: usize,
     /// Maintain the wedge/triangle counters while replaying. Costs one
     /// sorted-adjacency intersection per edge event; the Figure 1 series
     /// doesn't need it, so sweeps leave it off unless asked.
@@ -124,12 +89,6 @@ impl EngineConfigBuilder {
     /// Worker threads for the day sweep (0 = auto).
     pub fn workers(mut self, workers: usize) -> Self {
         self.cfg.workers = workers;
-        self
-    }
-
-    /// Days per work-stealing chunk (0 = auto).
-    pub fn chunk_days(mut self, chunk_days: usize) -> Self {
-        self.cfg.chunk_days = chunk_days;
         self
     }
 
@@ -267,12 +226,6 @@ impl<'a> EngineState<'a> {
         self.replayer.graph()
     }
 
-    /// Capture the current position as a [`ReplayCheckpoint`] recording
-    /// `day` as the last fully-processed day.
-    pub fn checkpoint(&self, day: Day) -> ReplayCheckpoint {
-        self.replayer.checkpoint(day)
-    }
-
     /// Node ids of the largest connected component from the live
     /// union-find — `O(N α)` per call, no per-day rebuild. Bit-identical
     /// to [`crate::components::largest_component`] on a frozen snapshot
@@ -346,7 +299,7 @@ fn ccdf_from_histogram(hist: &[u64]) -> Vec<(f64, f64)> {
 
 /// The [`ReplayCheckpoint`] at the end of `day`: position of the first
 /// event past the day boundary, used as a shard seed state by
-/// [`day_sweep`] and by checkpointed resumes.
+/// [`day_sweep`].
 pub fn day_checkpoint(log: &EventLog, day: Day) -> ReplayCheckpoint {
     let boundary = Time::day_end(day);
     let pos = log.events().partition_point(|e| e.time < boundary);
@@ -401,13 +354,10 @@ where
             .collect();
     }
 
-    // Contiguous chunks, claimed in order from a shared cursor: a worker's
-    // chunks strictly increase, so its shard only moves forward.
-    let chunk_days = if cfg.chunk_days == 0 {
-        days.len().div_ceil(workers * 4).max(1)
-    } else {
-        cfg.chunk_days
-    };
+    // Contiguous chunks of roughly `days / (4 × workers)` days, claimed
+    // in order from a shared cursor: a worker's chunks strictly increase,
+    // so its shard only moves forward.
+    let chunk_days = days.len().div_ceil(workers * 4).max(1);
     let chunks: Vec<(usize, &[Day])> = days
         .chunks(chunk_days)
         .enumerate()
@@ -610,7 +560,7 @@ mod tests {
         let mut seeded = EngineState::seed(&log, &cp, &cfg).unwrap();
         let mut fresh = EngineState::new(&log);
         fresh.advance_through_day(5);
-        assert_eq!(seeded.checkpoint(5), fresh.checkpoint(5));
+        assert_eq!(seeded.degree_histogram(), fresh.degree_histogram());
         assert_eq!(seeded.giant_component(), fresh.giant_component());
         // Both continue in lockstep.
         seeded.advance_through_day(9);
@@ -650,7 +600,7 @@ mod tests {
         let parallel = day_sweep(
             &log,
             &days,
-            &EngineConfig::builder().workers(3).chunk_days(2).build(),
+            &EngineConfig::builder().workers(3).build(),
             probe,
         );
         assert_eq!(sequential, parallel);

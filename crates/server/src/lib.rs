@@ -9,7 +9,7 @@
 //! |---------------------------|------|-------|
 //! | `GET /healthz`            | `ok` | shard loop (never queued) |
 //! | `GET /readyz`             | JSON trace identity | shard loop |
-//! | `GET /v1/meta`            | JSON trace identity + engine kind + version | shard loop |
+//! | `GET /v1/meta`            | JSON trace identity + version | shard loop |
 //! | `GET /v1/stats`           | JSON server counters + telemetry | shard loop |
 //! | `GET /v1/head`            | JSON live-ingest head state (published day, lag, health) | shard loop |
 //! | `GET /metrics`            | Prometheus text exposition | shard loop |

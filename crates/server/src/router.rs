@@ -20,7 +20,7 @@ pub enum Route {
     Health,
     /// `GET /readyz` — readiness; also loop-answered.
     Ready,
-    /// `GET /v1/meta` — trace identity + engine kind + server version.
+    /// `GET /v1/meta` — trace identity + server version.
     Meta,
     /// `GET /v1/days` — trace identity + queryable day lists.
     Days,
@@ -123,9 +123,9 @@ impl Route {
                 method: "GET",
                 path: "/v1/meta",
                 plane: "loop",
-                body: "`application/json` — trace identity, snapshot engine, server version",
-                summary: "How the served answers were built: node/edge/day counts, trace \
-                          fingerprint, engine kind (`batch`/`incremental`), crate version.",
+                body: "`application/json` — trace identity, server version",
+                summary: "What the served answers were built from: node/edge/day counts, \
+                          trace fingerprint, crate version.",
             }),
             Route::Days => Some(RouteDoc {
                 method: "GET",

@@ -125,9 +125,6 @@ pub struct ServerConfig {
     /// Idle keep-alive connections are closed after this long with no
     /// request bytes.
     pub keepalive_timeout: Duration,
-    /// Hot-day response cache (pre-rendered CSV + precompressed gzip).
-    /// Forced off when `chaos` is set.
-    pub response_cache: bool,
 }
 
 impl Default for ServerConfig {
@@ -145,7 +142,6 @@ impl Default for ServerConfig {
             write: None,
             shards: 1,
             keepalive_timeout: Duration::from_secs(5),
-            response_cache: true,
         }
     }
 }
@@ -365,7 +361,7 @@ impl Server {
             retries: cfg.retries,
             chaos: cfg.chaos.clone(),
             write: cfg.write.map(WriteState::new),
-            cache: (cfg.response_cache && cfg.chaos.is_none()).then(ResponseCache::default),
+            cache: cfg.chaos.is_none().then(ResponseCache::default),
             shards: (0..shards).map(ShardStats::new).collect(),
         });
 

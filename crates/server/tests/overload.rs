@@ -70,13 +70,13 @@ fn serves_bytes_identical_to_the_query_engine() {
     assert_eq!(resp.status, 200);
     assert_eq!(resp.body, q.days_json().into_bytes());
 
-    // /v1/meta is triage-answered and reports provenance: the engine
-    // kind plus the server's own version.
+    // /v1/meta is loop-answered and reports the trace identity plus the
+    // server's own version.
     let resp = http_get(&addr, "/v1/meta", CLIENT_TIMEOUT).unwrap();
     assert_eq!(resp.status, 200);
     let body = resp.body_str().to_string();
-    assert!(body.contains("\"engine\":\"incremental\""), "{body}");
-    assert!(body.contains("\"version\":\""), "{body}");
+    let meta = q.meta_json("");
+    assert!(body.starts_with(meta.trim_end_matches("\"}")), "{body}");
 
     let resp = http_get(&addr, "/readyz", CLIENT_TIMEOUT).unwrap();
     assert_eq!(resp.status, 200);
@@ -792,8 +792,8 @@ fn idle_keep_alive_connections_park_wake_and_cull() {
     });
     let addr = server.local_addr().to_string();
 
-    // Idle well past the worker linger (so the connection parks), then
-    // send again: the parker must wake it back into service.
+    // Idle well past the worker linger (so the connection goes back to
+    // its shard loop), then send again: the loop must serve it again.
     let mut client = HttpClient::connect(&addr).unwrap();
     assert_eq!(client.get("/healthz", CLIENT_TIMEOUT).unwrap().status, 200);
     std::thread::sleep(Duration::from_millis(100));
