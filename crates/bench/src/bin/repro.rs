@@ -1086,7 +1086,7 @@ fn main() -> ExitCode {
     let chaos_spec = chaos_spec.or_else(|| std::env::var("OSN_CHAOS").ok());
     let chaos = match chaos_spec.as_deref().map(str::trim) {
         Some(spec) if !spec.is_empty() => {
-            match osn_graph::testutil::ChaosTaskPlan::from_spec(spec) {
+            match osn_metrics::supervisor::ChaosTaskPlan::from_spec(spec) {
                 Ok(plan) => Some(plan),
                 Err(e) => {
                     eprintln!("bad chaos spec: {e}");

@@ -4,7 +4,7 @@ use crate::error::CliError;
 use osn_core::checkpoint::{
     metric_series_checkpointed_supervised, track_checkpointed_supervised, QuarantinedTask,
 };
-use osn_core::communities::{track, CommunityAnalysisConfig};
+use osn_core::communities::{track_supervised, CommunityAnalysisConfig};
 use osn_core::network::{growth_series, metric_series_supervised, MetricSeriesConfig};
 use osn_core::preferential::{alpha_series, AlphaConfig, DestinationRule};
 use osn_core::report::{write_csv, write_run_manifest, ManifestEntry};
@@ -283,7 +283,7 @@ fn checkpoint_dir(flags: &Flags) -> Option<PathBuf> {
 
 /// Build the supervision policy from `--retries` / `--task-timeout` and
 /// the `OSN_CHAOS` fault-injection hook (a `ChaosTaskPlan` spec such as
-/// `panic@12` — test/drill use only; see `osn_graph::testutil`).
+/// `panic@12` — test/drill use only; see `osn_metrics::supervisor`).
 pub(crate) fn run_policy(flags: &Flags) -> Result<RunPolicy, CliError> {
     let retries = flags.get_parsed::<u32>("retries")?.unwrap_or(0);
     let task_timeout = flags
@@ -300,7 +300,7 @@ pub(crate) fn run_policy(flags: &Flags) -> Result<RunPolicy, CliError> {
         .transpose()?;
     let chaos = match std::env::var("OSN_CHAOS") {
         Ok(spec) if !spec.trim().is_empty() => Some(
-            osn_graph::testutil::ChaosTaskPlan::from_spec(spec.trim())
+            osn_metrics::supervisor::ChaosTaskPlan::from_spec(spec.trim())
                 .map_err(|e| CliError::Usage(format!("bad OSN_CHAOS spec: {e}")))?,
         ),
         _ => None,
@@ -712,16 +712,12 @@ pub fn communities(args: &[String]) -> Result<(), CliError> {
             out
         }
         None => {
-            // Per-day isolation needs the checkpoint store to rebuild the
-            // stateful tracker after a quarantine; without --checkpoint the
-            // run is unsupervised (any failure aborts it, as before).
-            if policy.retries > 0 || policy.task_timeout.is_some() || policy.chaos.is_some() {
-                eprintln!(
-                    "note: --retries/--task-timeout/OSN_CHAOS only take effect for \
-                     `osn communities` together with --checkpoint DIR"
-                );
-            }
-            (track(&log, &cfg), Vec::new())
+            let (out, failures) = track_supervised(&log, &cfg, &policy);
+            let quarantined = failures
+                .iter()
+                .map(|f| QuarantinedTask::from_failure(f.day, &f.failure))
+                .collect();
+            (out, quarantined)
         }
     };
     // Shared with `osn serve` (osn_core::query) so the daemon's answers

@@ -256,7 +256,7 @@ pub fn serve(args: &[String]) -> Result<(), CliError> {
 
     let chaos = match std::env::var("OSN_CHAOS") {
         Ok(spec) if !spec.trim().is_empty() => Some(
-            osn_graph::testutil::ChaosTaskPlan::from_spec(spec.trim())
+            osn_metrics::supervisor::ChaosTaskPlan::from_spec(spec.trim())
                 .map_err(|e| CliError::Usage(format!("bad OSN_CHAOS spec: {e}")))?,
         ),
         _ => None,

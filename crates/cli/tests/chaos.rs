@@ -209,3 +209,48 @@ fn communities_checkpointed_chaos_degrades_but_completes() {
 
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn communities_chaos_without_checkpoint_matches_checkpointed_run() {
+    let dir = scratch("comm_direct");
+    let trace = dir.join("t.events");
+    generate(&trace);
+
+    let run = |out: &Path, ckpt: Option<&Path>| {
+        let mut c = osn();
+        c.args(["communities"])
+            .arg(&trace)
+            .args(["--stride", "30", "--min-size", "8", "--out"])
+            .arg(out)
+            .env("OSN_CHAOS", "panic@80");
+        if let Some(ckpt) = ckpt {
+            c.arg("--checkpoint").arg(ckpt);
+        }
+        let res = c.output().unwrap();
+        assert_eq!(
+            res.status.code(),
+            Some(4),
+            "stderr: {}",
+            String::from_utf8_lossy(&res.stderr)
+        );
+    };
+    let direct = dir.join("direct");
+    run(&direct, None);
+    let manifest = std::fs::read_to_string(direct.join("run_manifest.csv")).unwrap();
+    assert!(
+        manifest.contains("communities/day-80,quarantined"),
+        "{manifest}"
+    );
+    assert!(manifest.contains("communities,degraded,"), "{manifest}");
+
+    // The same poisoned day under the checkpoint store: same bytes.
+    let stored = dir.join("stored");
+    run(&stored, Some(&dir.join("ckpt")));
+    for file in ["communities.csv", "community_events.csv"] {
+        let a = std::fs::read(direct.join(file)).unwrap();
+        let b = std::fs::read(stored.join(file)).unwrap();
+        assert!(a == b, "{file} differs between the two runs");
+    }
+
+    std::fs::remove_dir_all(&dir).ok();
+}

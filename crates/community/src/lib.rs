@@ -32,5 +32,5 @@ pub use partition::Partition;
 pub use similarity::jaccard;
 pub use state::TrackerState;
 pub use tracker::{
-    CommunityRecord, CommunityTracker, SnapshotSummary, TrackerConfig, TrackerOutput,
+    CommunityRecord, CommunityTracker, SnapshotSummary, TrackerConfig, TrackerOutput, TrackerStep,
 };

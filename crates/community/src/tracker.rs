@@ -149,9 +149,23 @@ struct PrevState {
     graph: CsrGraph,
 }
 
+/// One snapshot's observation, computed by [`CommunityTracker::step`]
+/// and applied by [`CommunityTracker::commit`].
+pub struct TrackerStep {
+    /// The tracker's `next_id` once this snapshot's births are counted.
+    next_id: CommunityId,
+    /// This snapshot's evolution events, in observation order.
+    events: Vec<EvolutionEvent>,
+    /// One history entry per tracked community.
+    history: Vec<(CommunityId, CommSnapshotStats)>,
+    prev: PrevState,
+    summary: SnapshotSummary,
+}
+
 /// The dynamic community tracker. Feed snapshots in chronological order
-/// with [`CommunityTracker::observe`], then call
-/// [`CommunityTracker::finish`].
+/// with [`CommunityTracker::observe`] (or [`CommunityTracker::step`] and
+/// [`CommunityTracker::commit`], to drop a failed observation), then
+/// call [`CommunityTracker::finish`].
 pub struct CommunityTracker {
     cfg: TrackerConfig,
     prev: Option<PrevState>,
@@ -174,16 +188,22 @@ impl CommunityTracker {
         }
     }
 
-    fn fresh_id(&mut self) -> CommunityId {
-        let id = self.next_id;
-        self.next_id += 1;
-        id
+    /// Observe the snapshot for `day`: [`Self::step`] then
+    /// [`Self::commit`]. Snapshots must be fed in strictly increasing day
+    /// order and must only ever grow (nodes are never removed from the
+    /// trace).
+    pub fn observe(&mut self, day: Day, g: &CsrGraph) -> SnapshotSummary {
+        let step = self.step(day, g);
+        self.commit(step)
     }
 
-    /// Observe the snapshot for `day`. Snapshots must be fed in strictly
-    /// increasing day order and must only ever grow (nodes are never
-    /// removed from the trace).
-    pub fn observe(&mut self, day: Day, g: &CsrGraph) -> SnapshotSummary {
+    /// Compute the observation of the snapshot for `day` without changing
+    /// the tracker: Louvain warm-started from the last committed
+    /// snapshot, then the matching against it. Nothing is recorded until
+    /// the step is passed to [`Self::commit`], so a step that is dropped —
+    /// because it failed, panicked or came too late — leaves the tracker
+    /// exactly as it was.
+    pub fn step(&self, day: Day, g: &CsrGraph) -> TrackerStep {
         let n = g.num_nodes();
         let init = self.prev.as_ref().map(|p| p.partition.extended_to(n));
         let res = louvain(g, &self.cfg.louvain, init.as_ref());
@@ -218,11 +238,13 @@ impl CommunityTracker {
         }
 
         // Match against previous snapshot.
+        let mut next_id = self.next_id;
+        let mut events = Vec::new();
         let mut assigned_ids: Vec<Option<CommunityId>> = vec![None; comms.len()];
         let mut similarity: Vec<f64> = vec![0.0; comms.len()];
         let mut avg_similarity = None;
 
-        if let Some(prev) = self.prev.take() {
+        if let Some(prev) = &self.prev {
             // Overlap counts (cur, prev, count), in (cur, prev) order.
             let mut overlaps: Vec<(u32, u32, u32)> = Vec::new();
             let mut counts = vec![0u32; prev.comms.len()];
@@ -291,22 +313,14 @@ impl CommunityTracker {
             // Births (with split_from attribution).
             for c in 0..comms.len() {
                 if assigned_ids[c].is_none() {
-                    let id = self.fresh_id();
+                    let id = next_id;
+                    next_id += 1;
                     assigned_ids[c] = Some(id);
-                    let split_from = best_prev[c].map(|(p, _)| prev.comms[p as usize].id);
-                    self.events.push(EvolutionEvent::Birth {
+                    events.push(EvolutionEvent::Birth {
                         id,
                         day,
                         size: comms[c].len() as u32,
-                        split_from,
-                    });
-                    self.id_to_record.insert(id, self.records.len());
-                    self.records.push(CommunityRecord {
-                        id,
-                        birth_day: day,
-                        death_day: None,
-                        merged_into: None,
-                        history: Vec::new(),
+                        split_from: best_prev[c].map(|(p, _)| prev.comms[p as usize].id),
                     });
                 }
             }
@@ -325,7 +339,7 @@ impl CommunityTracker {
                         .map(|&c| comms[c as usize].len() as u32)
                         .collect();
                     sizes.sort_unstable_by(|a, b| b.cmp(a));
-                    self.events.push(EvolutionEvent::Split {
+                    events.push(EvolutionEvent::Split {
                         parent: prev.comms[p as usize].id,
                         day,
                         largest: sizes[0],
@@ -351,7 +365,7 @@ impl CommunityTracker {
                     };
                     let sp = prev.comms[p].members.len() as u32;
                     let sq = prev.comms[q].members.len() as u32;
-                    self.events.push(EvolutionEvent::Merge {
+                    events.push(EvolutionEvent::Merge {
                         dest: assigned_ids[c as usize].expect("assigned above"),
                         day,
                         largest: sp.max(sq),
@@ -374,12 +388,12 @@ impl CommunityTracker {
                         let dest_id = assigned_ids[c as usize];
                         // Which previous community continued into c?
                         let rank = continued_from[c as usize]
-                            .and_then(|q| destination_tie_rank(&prev, p, q));
+                            .and_then(|q| destination_tie_rank(prev, p, q));
                         (dest_id, rank)
                     }
                     _ => (None, None),
                 };
-                self.events.push(EvolutionEvent::Death {
+                events.push(EvolutionEvent::Death {
                     id,
                     day,
                     size: prev.comms[p].members.len() as u32,
@@ -387,45 +401,35 @@ impl CommunityTracker {
                     strongest_tie: tie_rank.map(|r| r == 1),
                     tie_rank,
                 });
-                if let Some(&ri) = self.id_to_record.get(&id) {
-                    self.records[ri].death_day = Some(day);
-                    self.records[ri].merged_into = merged_into;
-                }
             }
         } else {
             // First snapshot: everything is born.
             for c in 0..comms.len() {
-                let id = self.fresh_id();
+                let id = next_id;
+                next_id += 1;
                 assigned_ids[c] = Some(id);
-                self.events.push(EvolutionEvent::Birth {
+                events.push(EvolutionEvent::Birth {
                     id,
                     day,
                     size: comms[c].len() as u32,
                     split_from: None,
                 });
-                self.id_to_record.insert(id, self.records.len());
-                self.records.push(CommunityRecord {
-                    id,
-                    birth_day: day,
-                    death_day: None,
-                    merged_into: None,
-                    history: Vec::new(),
-                });
             }
         }
 
-        // Append history entries.
-        for c in 0..comms.len() {
-            let id = assigned_ids[c].expect("all communities assigned");
-            let ri = self.id_to_record[&id];
-            self.records[ri].history.push(CommSnapshotStats {
-                day,
-                size: comms[c].len() as u32,
-                internal_edges: internal[c],
-                degree_sum: degsum[c],
-                similarity_to_prev: similarity[c],
-            });
-        }
+        // History entries.
+        let history = (0..comms.len())
+            .map(|c| {
+                let stats = CommSnapshotStats {
+                    day,
+                    size: comms[c].len() as u32,
+                    internal_edges: internal[c],
+                    degree_sum: degsum[c],
+                    similarity_to_prev: similarity[c],
+                };
+                (assigned_ids[c].expect("all communities assigned"), stats)
+            })
+            .collect();
 
         // Summary.
         let mut sizes: Vec<u32> = comms.iter().map(|m| m.len() as u32).collect();
@@ -436,11 +440,11 @@ impl CommunityTracker {
             modularity: res.modularity,
             num_tracked: comms.len(),
             avg_similarity,
-            sizes: sizes.clone(),
+            sizes,
             top5_coverage: if n == 0 { 0.0 } else { top5 as f64 / n as f64 },
         };
 
-        // Store state for the next snapshot.
+        // State for the next snapshot.
         let prev_comms: Vec<PrevComm> = comms
             .into_iter()
             .enumerate()
@@ -449,14 +453,58 @@ impl CommunityTracker {
                 members,
             })
             .collect();
-        self.prev = Some(PrevState {
-            day,
-            partition,
-            comms: prev_comms,
-            node_to_comm,
-            graph: g.clone(),
-        });
-        summary
+        TrackerStep {
+            next_id,
+            events,
+            history,
+            prev: PrevState {
+                day,
+                partition,
+                comms: prev_comms,
+                node_to_comm,
+                graph: g.clone(),
+            },
+            summary,
+        }
+    }
+
+    /// Apply a [`TrackerStep`] computed by [`Self::step`] on this tracker
+    /// in its current state, and return the snapshot's summary.
+    pub fn commit(&mut self, step: TrackerStep) -> SnapshotSummary {
+        for event in &step.events {
+            match *event {
+                EvolutionEvent::Birth { id, day, .. } => {
+                    self.id_to_record.insert(id, self.records.len());
+                    self.records.push(CommunityRecord {
+                        id,
+                        birth_day: day,
+                        death_day: None,
+                        merged_into: None,
+                        history: Vec::new(),
+                    });
+                }
+                EvolutionEvent::Death {
+                    id,
+                    day,
+                    merged_into,
+                    ..
+                } => {
+                    if let Some(&ri) = self.id_to_record.get(&id) {
+                        self.records[ri].death_day = Some(day);
+                        self.records[ri].merged_into = merged_into;
+                    }
+                }
+                EvolutionEvent::Split { .. } | EvolutionEvent::Merge { .. } => {}
+            }
+        }
+        self.events.extend(step.events);
+        for (id, stats) in step.history {
+            let ri = self.id_to_record[&id];
+            self.records[ri].history.push(stats);
+        }
+        self.next_id = step.next_id;
+        self.prev = Some(step.prev);
+        step.summary
     }
 
     /// Export everything needed to resume tracking after the last observed
@@ -917,6 +965,46 @@ mod tests {
         assert!(CommunityTracker::restore(strict, state, g).is_err());
         // Nothing observed yet: nothing to export.
         assert!(CommunityTracker::new(cfg()).export_state().is_none());
+    }
+
+    #[test]
+    fn dropped_step_leaves_the_tracker_unchanged() {
+        // Snapshot 2 would merge the cliques; a tracker that computes and
+        // drops that step must go on exactly like one that never saw it.
+        let mut edges = Vec::new();
+        clique_edges(0, 10, &mut edges);
+        clique_edges(10, 6, &mut edges);
+        edges.push((0, 10));
+        let g1 = CsrGraph::from_edges(16, &edges);
+        let mut merged = edges.clone();
+        for b in 10..16u32 {
+            for a in 0..10u32 {
+                merged.push((a, b));
+            }
+        }
+        let g2 = CsrGraph::from_edges(16, &merged);
+        let mut grown = edges.clone();
+        clique_edges(16, 6, &mut grown);
+        let g3 = CsrGraph::from_edges(22, &grown);
+
+        let mut clean = CommunityTracker::new(cfg());
+        clean.observe(0, &g1);
+        let want = clean.observe(6, &g3);
+
+        let mut dropped = CommunityTracker::new(cfg());
+        dropped.observe(0, &g1);
+        let step = dropped.step(3, &g2);
+        assert_eq!(step.summary.num_tracked, 1, "the dropped step merges");
+        drop(step);
+        let got = dropped.observe(6, &g3);
+        assert_eq!(got.sizes, want.sizes);
+        assert_eq!(got.modularity.to_bits(), want.modularity.to_bits());
+        assert_eq!(got.avg_similarity, want.avg_similarity);
+        let (a, b) = (dropped.finish(), clean.finish());
+        assert_eq!(a.records, b.records);
+        assert_eq!(a.events, b.events);
+        assert_eq!(a.final_membership, b.final_membership);
+        assert_eq!(a.last_day, b.last_day);
     }
 
     #[test]

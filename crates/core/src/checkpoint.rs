@@ -38,15 +38,13 @@
 //! still produces byte-identical output to the same degraded run left
 //! uninterrupted.
 
-use crate::communities::CommunityAnalysisConfig;
+use crate::communities::{observe_supervised, CommunityAnalysisConfig};
 use crate::network::{metric_row, snapshot_days, MetricRow, MetricSeries, MetricSeriesConfig};
 use osn_community::{CommunityTracker, SnapshotSummary, TrackerOutput, TrackerState};
 use osn_graph::atomicfile::write_bytes_atomic;
 use osn_graph::{Day, EventLog, Replayer};
 use osn_metrics::engine::{day_sweep, EngineConfig};
-use osn_metrics::supervisor::{
-    chaos_gate, supervised_call, FailureKind, RunPolicy, TaskError, TaskFailure,
-};
+use osn_metrics::supervisor::{FailureKind, RunPolicy, TaskFailure};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fmt::Write as _;
@@ -595,10 +593,11 @@ pub fn track_checkpointed(
 
 /// [`track_checkpointed`] under a supervision policy: a snapshot whose
 /// observation fails is quarantined (recorded in `quarantine.txt`), the
-/// tracker is rebuilt from its pre-observation state, and tracking
-/// continues with the next snapshot. Quarantined days are not retried on
-/// resume, so a resumed degraded run matches the same run left
-/// uninterrupted.
+/// tracker keeps its state from the last good snapshot, and tracking
+/// continues with the next one — the same per-day supervision as
+/// [`track_supervised`](crate::communities::track_supervised), with the
+/// same results. Quarantined days are not retried on resume, so a
+/// resumed degraded run matches the same run left uninterrupted.
 pub fn track_checkpointed_supervised(
     log: &EventLog,
     cfg: &CommunityAnalysisConfig,
@@ -667,22 +666,6 @@ pub(crate) fn run_communities(
         None => (CommunityTracker::new(cfg.tracker_config()), Vec::new(), 0),
     };
 
-    // The tracker is stateful, so a failed observation may leave it
-    // mid-update: rebuild it from the last persisted-good state before a
-    // retry and after a quarantine.
-    let rebuild = |pre_state: &Option<TrackerState>| -> Result<CommunityTracker, String> {
-        match pre_state {
-            None => Ok(CommunityTracker::new(cfg.tracker_config())),
-            Some(s) => {
-                let mut r = Replayer::new(log);
-                r.advance_through_day(s.last_day);
-                CommunityTracker::restore(cfg.tracker_config(), s.clone(), r.freeze())
-            }
-        }
-    };
-    let scfg = policy.supervisor_config(1);
-    let chaos = policy.chaos.as_ref();
-
     let mut new_snaps = 0usize;
     for &day in days[start..].iter() {
         if quarantined.contains_key(&day) {
@@ -695,19 +678,7 @@ pub(crate) fn run_communities(
         }
         new_snaps += 1;
         replayer.advance_through_day(day);
-        let g = replayer.freeze();
-        let pre_state = tracker.export_state();
-        let verdict = {
-            let tracker = &mut tracker;
-            supervised_call(&format!("day-{day}"), &scfg, |attempt| {
-                if attempt > 1 {
-                    *tracker = rebuild(&pre_state).map_err(TaskError::Fatal)?;
-                }
-                chaos_gate(chaos, day as u64, attempt)?;
-                Ok(tracker.observe(day, &g))
-            })
-        };
-        match verdict {
+        match observe_supervised(&mut tracker, day, &replayer.freeze(), policy) {
             Ok(summary) => {
                 summaries.push(summary);
                 let state = tracker.export_state().expect("state after observe");
@@ -719,7 +690,6 @@ pub(crate) fn run_communities(
             Err(failure) => {
                 quarantined.insert(day, QuarantinedTask::from_failure(day, &failure));
                 write_bytes_atomic(&quarantine_path, render_quarantine(&quarantined).as_bytes())?;
-                tracker = rebuild(&pre_state).map_err(|r| corrupt(&state_path, r))?;
             }
         }
     }
@@ -870,10 +840,17 @@ mod tests {
             assert_eq!(x.modularity.to_bits(), y.modularity.to_bits());
             assert_eq!(x.num_tracked, y.num_tracked);
             assert_eq!(x.sizes, y.sizes);
+            assert_eq!(
+                x.avg_similarity.map(f64::to_bits),
+                y.avg_similarity.map(f64::to_bits)
+            );
+            assert_eq!(x.top5_coverage.to_bits(), y.top5_coverage.to_bits());
         }
         assert_eq!(a.1.events, b.1.events);
         assert_eq!(a.1.records, b.1.records);
         assert_eq!(a.1.final_membership, b.1.final_membership);
+        assert_eq!(a.1.final_sizes, b.1.final_sizes);
+        assert_eq!(a.1.last_day, b.1.last_day);
     }
 
     #[test]
@@ -944,7 +921,7 @@ mod tests {
     }
 
     fn panic_plan(day: Day) -> RunPolicy {
-        use osn_graph::testutil::{ChaosAction, ChaosTaskPlan};
+        use osn_metrics::supervisor::{ChaosAction, ChaosTaskPlan};
         RunPolicy {
             chaos: Some(ChaosTaskPlan::default().with_rule(
                 day as u64,
@@ -1041,7 +1018,7 @@ mod tests {
 
     #[test]
     fn metrics_chaos_transient_healed_by_retry() {
-        use osn_graph::testutil::{ChaosAction, ChaosTaskPlan};
+        use osn_metrics::supervisor::{ChaosAction, ChaosTaskPlan};
         let log = tiny_log();
         let cfg = metric_cfg();
         let days = snapshot_days(&log, cfg.first_day, cfg.stride);
@@ -1098,6 +1075,74 @@ mod tests {
 
         std::fs::remove_dir_all(&dir_a).unwrap();
         std::fs::remove_dir_all(&dir_b).unwrap();
+    }
+
+    #[test]
+    fn supervised_tracking_matches_checkpointed_under_the_same_plans() {
+        use crate::communities::track_supervised;
+        use osn_metrics::supervisor::{ChaosAction, ChaosTaskPlan};
+        use std::time::Duration;
+        let log = tiny_log();
+        let cfg = comm_cfg();
+        let days = snapshot_days(&log, cfg.first_day, cfg.stride);
+        let day = days[1];
+        let plan =
+            |attempt, action| Some(ChaosTaskPlan::default().with_rule(day as u64, attempt, action));
+        let policies = [
+            RunPolicy {
+                chaos: plan(None, ChaosAction::Panic("poisoned snapshot".into())),
+                ..RunPolicy::default()
+            },
+            RunPolicy {
+                retries: 1,
+                chaos: plan(Some(1), ChaosAction::Transient("flaky first try".into())),
+                ..RunPolicy::default()
+            },
+            // Every observation takes milliseconds; the delayed one
+            // finishes, but past its deadline.
+            RunPolicy {
+                task_timeout: Some(Duration::from_secs(2)),
+                chaos: plan(None, ChaosAction::Delay(2_500)),
+                ..RunPolicy::default()
+            },
+        ];
+        let runs: Vec<_> = policies
+            .iter()
+            .enumerate()
+            .map(|(i, policy)| {
+                let (direct, failures) = track_supervised(&log, &cfg, policy);
+                let dir = tmp_dir(&format!("comm_parity_{i}"));
+                let (ckpt, quarantined) =
+                    track_checkpointed_supervised(&log, &cfg, &dir, policy).unwrap();
+                std::fs::remove_dir_all(&dir).unwrap();
+                assert_outputs_eq(&direct, &ckpt);
+                let direct_failures: Vec<QuarantinedTask> = failures
+                    .iter()
+                    .map(|f| QuarantinedTask::from_failure(f.day, &f.failure))
+                    .collect();
+                assert_eq!(
+                    quarantine_facts(&direct_failures),
+                    quarantine_facts(&quarantined),
+                    "policy {i}"
+                );
+                let kinds: Vec<(Day, FailureKind)> =
+                    quarantined.iter().map(|q| (q.day, q.kind)).collect();
+                (direct, kinds)
+            })
+            .collect();
+
+        let [panicked, healed, late] = &runs[..] else {
+            unreachable!()
+        };
+        assert_eq!(panicked.1, [(day, FailureKind::Panicked)]);
+        assert_eq!(panicked.0 .0.len(), days.len() - 1);
+        assert!(!panicked.0 .0.iter().any(|s| s.day == day));
+        assert!(healed.1.is_empty(), "one retry heals an attempt-1 fault");
+        assert_outputs_eq(&healed.0, &track(&log, &cfg));
+        // The late observation was computed in full but never committed:
+        // the run equals the one where that day never got to observe.
+        assert_eq!(late.1, [(day, FailureKind::TimedOut)]);
+        assert_outputs_eq(&late.0, &panicked.0);
     }
 
     #[test]

@@ -1,10 +1,12 @@
 //! §4.1–4.3 — community evolution (Figures 4, 5 and 6).
 
+use crate::network::DayFailure;
 use osn_community::{
     CommunityTracker, EvolutionEvent, LouvainConfig, SnapshotSummary, TrackerConfig, TrackerOutput,
 };
-use osn_graph::{DailySnapshots, Day, EventLog};
+use osn_graph::{CsrGraph, DailySnapshots, Day, EventLog};
 use osn_metrics::parallel::par_map;
+use osn_metrics::supervisor::{chaos_gate, supervised_call, RunPolicy, TaskFailure};
 use osn_mlkit::{
     k_fold, train_test_split, ConfusionMatrix, LinearSvm, LogisticConfig, LogisticRegression,
     StandardScaler, SvmConfig,
@@ -52,17 +54,72 @@ impl CommunityAnalysisConfig {
     }
 }
 
+/// Observe one snapshot under supervision: the chaos gate and
+/// [`CommunityTracker::step`] run under [`supervised_call`] (panic
+/// isolation, retries, post-hoc deadline), and the step is committed
+/// only when the task succeeds. A failed or late observation leaves the
+/// tracker as it was, so the next snapshot warm-starts from the last
+/// good one.
+pub(crate) fn observe_supervised(
+    tracker: &mut CommunityTracker,
+    day: Day,
+    g: &CsrGraph,
+    policy: &RunPolicy,
+) -> Result<SnapshotSummary, TaskFailure> {
+    let scfg = policy.supervisor_config(1);
+    let current = &*tracker;
+    let step = supervised_call(&format!("day-{day}"), &scfg, |attempt| {
+        chaos_gate(policy.chaos.as_ref(), day as u64, attempt)?;
+        Ok(current.step(day, g))
+    })?;
+    Ok(tracker.commit(step))
+}
+
+/// Run the tracker over every snapshot of the log, each observation
+/// supervised by `policy`.
+///
+/// A snapshot whose observation fails (panic, fatal error, exhausted
+/// retries, or deadline overrun) is *quarantined*: it has no summary,
+/// the tracker skips it, and it is reported in the second tuple element.
+/// Supervision policy never affects the results of the snapshots that
+/// succeed, given the same quarantined days.
+pub fn track_supervised(
+    log: &EventLog,
+    cfg: &CommunityAnalysisConfig,
+    policy: &RunPolicy,
+) -> ((Vec<SnapshotSummary>, TrackerOutput), Vec<DayFailure>) {
+    let mut tracker = CommunityTracker::new(cfg.tracker_config());
+    let mut summaries = Vec::new();
+    let mut failures = Vec::new();
+    for snap in DailySnapshots::new(log, cfg.first_day, cfg.stride) {
+        match observe_supervised(&mut tracker, snap.day, &snap.graph, policy) {
+            Ok(summary) => summaries.push(summary),
+            Err(failure) => failures.push(DayFailure {
+                day: snap.day,
+                failure,
+            }),
+        }
+    }
+    ((summaries, tracker.finish()), failures)
+}
+
 /// Run the tracker over every snapshot of the log.
+///
+/// Infallible facade over [`track_supervised`]: no retries, no deadline,
+/// and a failed observation is re-raised as a panic carrying the day and
+/// the original payload.
 pub fn track(
     log: &EventLog,
     cfg: &CommunityAnalysisConfig,
 ) -> (Vec<SnapshotSummary>, TrackerOutput) {
-    let mut tracker = CommunityTracker::new(cfg.tracker_config());
-    let mut summaries = Vec::new();
-    for snap in DailySnapshots::new(log, cfg.first_day, cfg.stride) {
-        summaries.push(tracker.observe(snap.day, &snap.graph));
+    let (out, failures) = track_supervised(log, cfg, &RunPolicy::default());
+    if let Some(df) = failures.first() {
+        panic!(
+            "community tracking failed on day {}: {}",
+            df.day, df.failure
+        );
     }
-    (summaries, tracker.finish())
+    out
 }
 
 /// Figure 4 output: one modularity and one similarity series per δ, plus

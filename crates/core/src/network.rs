@@ -515,7 +515,7 @@ mod tests {
 
     #[test]
     fn supervised_sweep_quarantines_poisoned_day() {
-        use osn_graph::testutil::{ChaosAction, ChaosTaskPlan};
+        use osn_metrics::supervisor::{ChaosAction, ChaosTaskPlan};
         use osn_metrics::supervisor::{FailureKind, RunPolicy};
         let log = tiny_log();
         let cfg = MetricSeriesConfig {
@@ -599,7 +599,7 @@ mod tests {
 
     #[test]
     fn engines_quarantine_identically_under_chaos() {
-        use osn_graph::testutil::{ChaosAction, ChaosTaskPlan};
+        use osn_metrics::supervisor::{ChaosAction, ChaosTaskPlan};
         let log = tiny_log();
         let cfg = MetricSeriesConfig {
             stride: 20,

@@ -6,10 +6,10 @@
 //! `PROPTEST_CASES` (64 by default).
 
 use osn_core::network::{metric_series_supervised_with, MetricSeriesConfig};
-use osn_graph::testutil::{ChaosAction, ChaosTaskPlan};
 use osn_graph::{EventLog, EventLogBuilder, NodeId, Origin, Time};
 use osn_metrics::engine::EngineKind;
 use osn_metrics::supervisor::RunPolicy;
+use osn_metrics::supervisor::{ChaosAction, ChaosTaskPlan};
 use proptest::prelude::*;
 
 /// Deterministically grow a log from a proptest-chosen script: per day,

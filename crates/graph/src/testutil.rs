@@ -1,4 +1,4 @@
-//! Deterministic fault injection for I/O and compute robustness tests.
+//! Deterministic fault injection for I/O and HTTP robustness tests.
 //!
 //! [`ChaosReader`] and [`ChaosWriter`] wrap any `Read`/`Write` and inject
 //! the failure modes real storage exhibits — short reads, `EINTR`
@@ -6,13 +6,8 @@
 //! corruption, and write failures partway through — driven by a seeded
 //! deterministic generator so every failing test case replays exactly.
 //!
-//! [`ChaosTaskPlan`] is the compute-plane analogue: a seeded (or
-//! explicitly scheduled) mapping from `(task key, attempt)` to a
-//! [`ChaosAction`] — panic, delay, transient or fatal error — used to
-//! drive the supervised executor (`osn_metrics::supervisor`)
-//! deterministically in tests. Because the plan is a pure function of its
-//! inputs, tests can replay it as an oracle and predict exactly which
-//! tasks must fail, retry, or be quarantined.
+//! The compute-plane analogue, `ChaosTaskPlan`, lives next to the
+//! executor it drives, in `osn_metrics::supervisor`.
 //!
 //! This module is part of the public API (rather than `#[cfg(test)]`) so
 //! integration tests in other crates and the workspace root can use it;
@@ -285,172 +280,6 @@ impl<W: Write> SlowAppendWriter<W> {
     /// Unwrap the inner writer.
     pub fn into_inner(self) -> W {
         self.inner
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Compute-plane fault injection
-// ---------------------------------------------------------------------------
-
-/// What a chaos plan tells one task attempt to do.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ChaosAction {
-    /// Run normally.
-    None,
-    /// Panic with the given message (exercises `catch_unwind` isolation).
-    Panic(String),
-    /// Sleep this many milliseconds before running (exercises deadlines).
-    Delay(u64),
-    /// Fail with a retryable error (exercises retry/backoff).
-    Transient(String),
-    /// Fail with a non-retryable error.
-    Fatal(String),
-}
-
-/// One explicitly scheduled fault.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct ChaosRule {
-    key: u64,
-    /// `None` = every attempt of this task; `Some(n)` = only attempt `n`.
-    attempt: Option<u32>,
-    action: ChaosAction,
-}
-
-/// Fault rates for a seeded random plan. Each is a `1 / one_in`
-/// probability per `(key, attempt)` pair (0 disables that fault class).
-/// Panic takes precedence over transient, transient over delay.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ChaosRates {
-    /// Inject a panic roughly one attempt in this many.
-    pub panic_one_in: u32,
-    /// Inject a transient error roughly one attempt in this many.
-    pub transient_one_in: u32,
-    /// Inject a delay roughly one attempt in this many.
-    pub delay_one_in: u32,
-    /// Delay length in `1..=delay_max_ms` when a delay fires.
-    pub delay_max_ms: u64,
-}
-
-/// A deterministic schedule of compute faults, keyed by `(task key,
-/// attempt)`. The task key is chosen by the pipeline under test (snapshot
-/// day, figure number, plain index — whatever identifies the task
-/// stably); attempts are 1-based.
-///
-/// `action_for` is a pure function, so the same plan consulted by the
-/// executor and by a test oracle always agrees — a test can predict the
-/// exact set of failures a supervised run must report.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ChaosTaskPlan {
-    rules: Vec<ChaosRule>,
-    seeded: Option<(u64, ChaosRates)>,
-}
-
-impl ChaosTaskPlan {
-    /// A plan with faults drawn deterministically from `seed` at the given
-    /// rates. Equal seeds give equal schedules.
-    pub fn seeded(seed: u64, rates: ChaosRates) -> Self {
-        ChaosTaskPlan {
-            rules: Vec::new(),
-            seeded: Some((seed, rates)),
-        }
-    }
-
-    /// Add an explicitly scheduled fault for task `key`. `attempt = None`
-    /// fires on every attempt (the task can never succeed); `Some(n)`
-    /// fires only on attempt `n` (a retry recovers). Scheduled rules take
-    /// precedence over the seeded background rates.
-    pub fn with_rule(mut self, key: u64, attempt: Option<u32>, action: ChaosAction) -> Self {
-        self.rules.push(ChaosRule {
-            key,
-            attempt,
-            action,
-        });
-        self
-    }
-
-    /// The action task `key` must take on its `attempt`-th try (1-based).
-    pub fn action_for(&self, key: u64, attempt: u32) -> ChaosAction {
-        for rule in &self.rules {
-            if rule.key == key && rule.attempt.is_none_or(|a| a == attempt) {
-                return rule.action.clone();
-            }
-        }
-        if let Some((seed, rates)) = &self.seeded {
-            // Mix seed, key, and attempt into an independent stream per
-            // (key, attempt) pair.
-            let mut rng = Splitmix::new(
-                seed ^ key.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ ((attempt as u64) << 48),
-            );
-            if rng.one_in(rates.panic_one_in) {
-                return ChaosAction::Panic(format!("chaos panic (key {key}, attempt {attempt})"));
-            }
-            if rng.one_in(rates.transient_one_in) {
-                return ChaosAction::Transient(format!(
-                    "chaos transient fault (key {key}, attempt {attempt})"
-                ));
-            }
-            if rng.one_in(rates.delay_one_in) && rates.delay_max_ms > 0 {
-                return ChaosAction::Delay(1 + rng.next_u64() % rates.delay_max_ms);
-            }
-        }
-        ChaosAction::None
-    }
-
-    /// True when the plan can never fire (no rules, no seeded rates).
-    pub fn is_empty(&self) -> bool {
-        self.rules.is_empty() && self.seeded.is_none()
-    }
-
-    /// Parse a comma-separated spec of scheduled faults, e.g.
-    /// `panic@12`, `panic@12#1,delay:200@5`, `transient@7#2,fatal@9`.
-    ///
-    /// Grammar per entry: `<action>@<key>[#<attempt>]` with `action` one
-    /// of `panic`, `transient`, `fatal`, or `delay:<ms>`. Without
-    /// `#<attempt>` the fault fires on every attempt.
-    pub fn from_spec(spec: &str) -> Result<Self, String> {
-        let mut plan = ChaosTaskPlan::default();
-        for entry in spec.split(',').map(str::trim).filter(|e| !e.is_empty()) {
-            let (action_str, target) = entry
-                .split_once('@')
-                .ok_or_else(|| format!("chaos entry '{entry}' is missing '@<key>'"))?;
-            let (key_str, attempt) = match target.split_once('#') {
-                Some((k, a)) => {
-                    let a: u32 = a
-                        .parse()
-                        .map_err(|_| format!("bad attempt '{a}' in chaos entry '{entry}'"))?;
-                    (k, Some(a))
-                }
-                None => (target, None),
-            };
-            let key: u64 = key_str
-                .parse()
-                .map_err(|_| format!("bad key '{key_str}' in chaos entry '{entry}'"))?;
-            let action = match action_str {
-                "panic" => ChaosAction::Panic(format!("injected panic for task key {key}")),
-                "transient" => {
-                    ChaosAction::Transient(format!("injected transient fault for task key {key}"))
-                }
-                "fatal" => ChaosAction::Fatal(format!("injected fatal fault for task key {key}")),
-                other => match other.split_once(':') {
-                    Some(("delay", ms)) => ChaosAction::Delay(
-                        ms.parse()
-                            .map_err(|_| format!("bad delay '{ms}' in chaos entry '{entry}'"))?,
-                    ),
-                    _ => {
-                        return Err(format!(
-                            "unknown chaos action '{action_str}' \
-                             (panic|transient|fatal|delay:<ms>)"
-                        ))
-                    }
-                },
-            };
-            plan.rules.push(ChaosRule {
-                key,
-                attempt,
-                action,
-            });
-        }
-        Ok(plan)
     }
 }
 
@@ -947,66 +776,6 @@ mod tests {
             b"0123456789ab",
             "no bytes lost or reordered"
         );
-    }
-
-    #[test]
-    fn chaos_plan_rules_match_key_and_attempt() {
-        let plan = ChaosTaskPlan::default()
-            .with_rule(12, None, ChaosAction::Panic("boom".into()))
-            .with_rule(5, Some(1), ChaosAction::Transient("flaky".into()));
-        assert_eq!(plan.action_for(12, 1), ChaosAction::Panic("boom".into()));
-        assert_eq!(plan.action_for(12, 3), ChaosAction::Panic("boom".into()));
-        assert_eq!(
-            plan.action_for(5, 1),
-            ChaosAction::Transient("flaky".into())
-        );
-        assert_eq!(plan.action_for(5, 2), ChaosAction::None, "retry recovers");
-        assert_eq!(plan.action_for(7, 1), ChaosAction::None);
-        assert!(!plan.is_empty());
-        assert!(ChaosTaskPlan::default().is_empty());
-    }
-
-    #[test]
-    fn chaos_plan_seeded_is_deterministic_and_attempt_sensitive() {
-        let rates = ChaosRates {
-            panic_one_in: 3,
-            transient_one_in: 3,
-            delay_one_in: 4,
-            delay_max_ms: 20,
-        };
-        let a = ChaosTaskPlan::seeded(42, rates);
-        let b = ChaosTaskPlan::seeded(42, rates);
-        let mut fired = 0;
-        let mut attempt_sensitive = false;
-        for key in 0..200u64 {
-            assert_eq!(a.action_for(key, 1), b.action_for(key, 1));
-            if a.action_for(key, 1) != ChaosAction::None {
-                fired += 1;
-            }
-            if a.action_for(key, 1) != a.action_for(key, 2) {
-                attempt_sensitive = true;
-            }
-        }
-        assert!(fired > 20, "rates of 1/3 must fire often ({fired}/200)");
-        assert!(attempt_sensitive, "attempt must change the outcome");
-    }
-
-    #[test]
-    fn chaos_plan_spec_roundtrip() {
-        let plan = ChaosTaskPlan::from_spec("panic@12#1, delay:200@5, transient@7, fatal@9#2")
-            .expect("valid spec");
-        assert!(matches!(plan.action_for(12, 1), ChaosAction::Panic(_)));
-        assert_eq!(plan.action_for(12, 2), ChaosAction::None);
-        assert_eq!(plan.action_for(5, 3), ChaosAction::Delay(200));
-        assert!(matches!(plan.action_for(7, 4), ChaosAction::Transient(_)));
-        assert!(matches!(plan.action_for(9, 2), ChaosAction::Fatal(_)));
-        assert_eq!(plan.action_for(9, 1), ChaosAction::None);
-
-        assert!(ChaosTaskPlan::from_spec("panic12").is_err());
-        assert!(ChaosTaskPlan::from_spec("explode@3").is_err());
-        assert!(ChaosTaskPlan::from_spec("panic@x").is_err());
-        assert!(ChaosTaskPlan::from_spec("panic@3#y").is_err());
-        assert!(ChaosTaskPlan::from_spec("delay:abc@3").is_err());
     }
 
     /// One-shot canned server: accepts a single connection, optionally

@@ -23,24 +23,21 @@
 //! bit-identical results to the frozen-snapshot path, with the freeze
 //! skipped entirely.
 //!
-//! [`day_sweep`] adds a work-stealing parallel sweep: the day range is
-//! split into contiguous chunks, workers claim chunks from a shared
-//! atomic cursor (so a slow chunk never stalls the others), and each
-//! worker seeds its shard state from a [`ReplayCheckpoint`] at the chunk
-//! boundary. Seeding replays the event prefix through the delta observer
-//! (incremental state cannot be reconstructed any other way), so the
-//! parallel win is in the per-day metric work — BFS sampling, clustering,
-//! assortativity — not the replay itself.
+//! [`day_sweep`] adds a parallel sweep on `parallel::pool_map`: the day range is
+//! split into contiguous chunks that workers take in order, and each
+//! worker keeps one [`EngineState`] that only ever moves forward, so its
+//! first chunk replays the event prefix through the delta observer
+//! (incremental state cannot be reconstructed any other way). The
+//! parallel win is in the per-day metric work — BFS sampling,
+//! clustering, assortativity — not the replay itself.
 
 use crate::components::largest_component_of;
-use crate::parallel::default_workers;
+use crate::parallel::{default_workers, pool_map};
 use osn_graph::dynamic::DeltaObserver;
 use osn_graph::{
     CheckpointError, Day, DynamicGraph, EventLog, NodeId, Origin, ReplayCheckpoint, Replayer, Time,
     UnionFind,
 };
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Which snapshot engine drives a per-day metric sweep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -298,8 +295,8 @@ fn ccdf_from_histogram(hist: &[u64]) -> Vec<(f64, f64)> {
 }
 
 /// The [`ReplayCheckpoint`] at the end of `day`: position of the first
-/// event past the day boundary, used as a shard seed state by
-/// [`day_sweep`].
+/// event past the day boundary, from which [`EngineState::seed`] builds
+/// engine state.
 pub fn day_checkpoint(log: &EventLog, day: Day) -> ReplayCheckpoint {
     let boundary = Time::day_end(day);
     let pos = log.events().partition_point(|e| e.time < boundary);
@@ -310,23 +307,22 @@ pub fn day_checkpoint(log: &EventLog, day: Day) -> ReplayCheckpoint {
     }
 }
 
-/// Work-stealing incremental day-sweep.
+/// Parallel incremental day-sweep.
 ///
 /// Runs `f(state, index, day)` for every day in `days` (which must be
 /// ascending), with the engine state already advanced through that day.
 /// Results come back in `days` order.
 ///
-/// With one worker the sweep runs inline on a single shard — no threads,
-/// no seeding overhead. With more, the day list is split into contiguous
-/// chunks that workers claim from a shared atomic cursor; each worker
-/// owns one shard ([`EngineState`]) seeded from the [`day_checkpoint`]
-/// at its first chunk's boundary and only ever advances forward, so the
-/// expensive per-day kernels (BFS sampling, clustering, assortativity)
-/// run in parallel across shards.
+/// With one worker the sweep runs inline on a single shard. With more,
+/// the day list is split into contiguous chunks of about
+/// `days / (4 × workers)` days that the pool's workers take in
+/// order; each worker owns one shard ([`EngineState`]), which only moves
+/// forward, so the expensive per-day kernels (BFS sampling, clustering,
+/// assortativity) run in parallel across shards.
 ///
 /// `f` is responsible for its own supervision (the metric pipelines wrap
-/// it in `supervised_call` to keep the quarantine semantics of the batch
-/// path); a panic escaping `f` aborts the sweep.
+/// it in `supervised_call` to quarantine failed days); a panic escaping
+/// `f` is re-raised by the sweep once the other workers finish.
 pub fn day_sweep<'a, T, F>(log: &'a EventLog, days: &[Day], cfg: &EngineConfig, f: F) -> Vec<T>
 where
     T: Send,
@@ -335,83 +331,32 @@ where
     debug_assert!(days.windows(2).all(|w| w[0] < w[1]), "days must ascend");
     let _sweep = osn_obs::span!("engine.sweep");
     osn_obs::counter!("engine.days").add(days.len() as u64);
-    let workers = if cfg.workers == 0 {
-        default_workers()
-    } else {
-        cfg.workers
+    let workers = match cfg.workers {
+        0 => default_workers(),
+        n => n,
     };
-
-    if workers <= 1 || days.len() <= 1 {
-        osn_obs::counter!("engine.chunks").inc();
-        let mut state = EngineState::with_config(log, cfg);
-        return days
-            .iter()
-            .enumerate()
-            .map(|(idx, &day)| {
-                state.advance_through_day(day);
-                f(&mut state, idx, day)
-            })
-            .collect();
+    let chunk_days = match workers {
+        0 | 1 => days.len(),
+        n => days.len().div_ceil(n * 4),
     }
-
-    // Contiguous chunks of roughly `days / (4 × workers)` days, claimed
-    // in order from a shared cursor: a worker's chunks strictly increase,
-    // so its shard only moves forward.
-    let chunk_days = days.len().div_ceil(workers * 4).max(1);
-    let chunks: Vec<(usize, &[Day])> = days
-        .chunks(chunk_days)
-        .enumerate()
-        .map(|(i, c)| (i * chunk_days, c))
-        .collect();
+    .max(1);
+    let chunks = days.chunks(chunk_days);
     osn_obs::counter!("engine.chunks").add(chunks.len() as u64);
-
-    let next = AtomicUsize::new(0);
-    let mut slots: Vec<Option<T>> = Vec::with_capacity(days.len());
-    slots.resize_with(days.len(), || None);
-    let results = Mutex::new(slots);
-
-    crossbeam::scope(|scope| {
-        for _ in 0..workers.min(chunks.len()) {
-            scope.spawn(|_| {
-                let mut shard: Option<EngineState<'a>> = None;
-                loop {
-                    let i = next.fetch_add(1, Ordering::SeqCst);
-                    let Some(&(base, chunk)) = chunks.get(i) else {
-                        break;
-                    };
-                    let state = shard.get_or_insert_with(|| {
-                        // Seed the shard at the boundary before this
-                        // chunk's first day (prefix replay through the
-                        // delta observer).
-                        let first = chunk[0];
-                        if first == 0 {
-                            EngineState::with_config(log, cfg)
-                        } else {
-                            let cp = day_checkpoint(log, first - 1);
-                            EngineState::seed(log, &cp, cfg).expect("seed from own checkpoint")
-                        }
-                    });
-                    let mut produced = Vec::with_capacity(chunk.len());
-                    for (off, &day) in chunk.iter().enumerate() {
-                        state.advance_through_day(day);
-                        produced.push(f(state, base + off, day));
-                    }
-                    let mut slots = results.lock().expect("results poisoned");
-                    for (off, value) in produced.into_iter().enumerate() {
-                        slots[base + off] = Some(value);
-                    }
-                }
-            });
-        }
-    })
-    .expect("engine sweep worker panicked");
-
-    results
-        .into_inner()
-        .expect("results poisoned")
-        .into_iter()
-        .map(|slot| slot.expect("every day produced"))
-        .collect()
+    let per_chunk = pool_map(
+        chunks,
+        workers,
+        || EngineState::with_config(log, cfg),
+        |state, chunk_index, chunk| {
+            let base = chunk_index * chunk_days;
+            (chunk.iter().enumerate())
+                .map(|(off, &day)| {
+                    state.advance_through_day(day);
+                    f(state, base + off, day)
+                })
+                .collect::<Vec<T>>()
+        },
+    );
+    per_chunk.into_iter().flatten().collect()
 }
 
 #[cfg(test)]

@@ -18,19 +18,21 @@
 //! * [`engine`] — the delta-driven snapshot engine: one evolving graph
 //!   with per-metric incremental state (degree histogram, live
 //!   union-find components, wedge/triangle counters, cached CCDF) and a
-//!   work-stealing parallel day-sweep; byte-identical to the batch path
-//!   and the default under `osn metrics`.
+//!   parallel day-sweep; byte-identical to the batch path and the
+//!   default under `osn metrics`.
 //! * [`rewire`] — degree-preserving double-edge-swap rewiring, the
 //!   configuration-model null for modularity-significance claims.
 //! * [`assortativity`] — degree assortativity as the Pearson correlation
 //!   over edge-endpoint degrees.
-//! * [`parallel`] — an order-preserving, bounded-memory parallel map used
-//!   to fan per-snapshot metric jobs out to worker threads (crossbeam
-//!   scoped threads; the workload is CPU-bound so there is no async).
-//! * [`supervisor`] — supervised task execution under the parallel map:
-//!   per-task panic isolation (`catch_unwind` → typed [`TaskFailure`]),
-//!   transient-error retries with capped backoff, and watchdog-enforced
-//!   soft deadlines that quarantine overrunners while the run continues.
+//! * [`parallel`] — the one worker pool (`pool_map`: bounded memory,
+//!   input order, per-worker state, `std::thread::scope`) that the day
+//!   sweep and the supervised map both run on, plus the infallible
+//!   [`par_map`].
+//! * [`supervisor`] — supervised task execution: per-task panic
+//!   isolation (`catch_unwind` → typed [`TaskFailure`]), transient-error
+//!   retries with capped backoff, soft deadlines checked as each attempt
+//!   returns (a late task is quarantined while the run continues), and
+//!   the deterministic [`ChaosTaskPlan`] fault injection.
 
 pub mod assortativity;
 pub mod clustering;
@@ -57,6 +59,7 @@ pub use paths::{
 };
 pub use rewire::degree_preserving_shuffle;
 pub use supervisor::{
-    chaos_gate, supervised_call, try_par_map, try_par_map_labeled, FailureKind, RunPolicy,
-    SupervisorConfig, TaskAttempt, TaskError, TaskFailure, TaskResult,
+    chaos_gate, supervised_call, try_par_map, try_par_map_labeled, ChaosAction, ChaosRates,
+    ChaosTaskPlan, FailureKind, RunPolicy, SupervisorConfig, TaskAttempt, TaskError, TaskFailure,
+    TaskResult,
 };

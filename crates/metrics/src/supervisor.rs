@@ -1,10 +1,9 @@
 //! Supervised task execution: panic isolation, retries, soft deadlines.
 //!
 //! The Figure 1 pipeline fans hundreds of expensive snapshot analyses out
-//! to worker threads. Before this module, that fan-out was all-or-nothing:
-//! one panicking metric task tore down the whole crossbeam scope and a
-//! multi-hour run lost everything. The supervisor turns each task into a
-//! unit of failure:
+//! to worker threads, and community tracking carries state through
+//! hundreds more. One poisoned day must not end such a run. The
+//! supervisor turns each task into a unit of failure:
 //!
 //! * every attempt runs under [`std::panic::catch_unwind`], so a panic
 //!   becomes a typed [`TaskFailure`] carrying the original payload text,
@@ -12,33 +11,33 @@
 //! * a task returning [`TaskError::Transient`] is retried up to
 //!   [`SupervisorConfig::retries`] times with deterministic, capped
 //!   exponential backoff;
-//! * with [`SupervisorConfig::task_timeout`] set, a watchdog thread
-//!   enforces a per-task *soft* deadline: an overrunning task is marked
-//!   quarantined, its failure is reported immediately, its eventual result
-//!   is discarded, and the rest of the run continues. (The stuck
-//!   computation itself cannot be killed — `try_par_map` still joins all
-//!   worker threads before returning, so a task that never finishes at
-//!   all will stall the final join; the deadline exists to keep the *run*
-//!   productive and the failure visible.)
+//! * with [`SupervisorConfig::task_timeout`] set, every attempt is
+//!   checked against the task's *soft* deadline when it returns: a task
+//!   that finished late is quarantined whatever it returned, its result
+//!   is discarded, and the run continues. A running task is never
+//!   interrupted, so a task that never returns stalls its worker; the
+//!   deadline keeps late results out of the output and the failure
+//!   visible.
 //!
-//! [`try_par_map`] is the fallible, order-preserving parallel map built on
-//! these semantics; [`crate::parallel::par_map`] remains the infallible
-//! wrapper (it re-raises the first [`TaskFailure`] as a panic whose
-//! message carries the full failure context). [`supervised_call`] applies
-//! the same attempt loop to a single stateful task, e.g. one community
-//! snapshot observation.
+//! [`supervised_call`] runs one task under these rules, e.g. one
+//! community snapshot observation or one HTTP handler.
+//! [`try_par_map`] runs one per item on the pool of
+//! `parallel::pool_map`, in input order;
+//! [`crate::parallel::par_map`] is its infallible wrapper (it re-raises
+//! the first [`TaskFailure`] as a panic whose message carries the full
+//! failure context).
+//!
+//! [`ChaosTaskPlan`] and [`chaos_gate`] are the deterministic fault
+//! injection that tests, the CLI's `OSN_CHAOS` and the daemon's drills
+//! feed through the same rules.
 //!
 //! Worker count, retries, deadlines and backoff are execution concerns:
 //! none of them affect the *values* a successful task produces, which is
 //! why `osn_core::checkpoint` excludes them from `meta.txt`.
 
-use crate::parallel::default_workers;
-use crossbeam::channel;
-use osn_graph::testutil::{ChaosAction, ChaosTaskPlan};
+use crate::parallel::{default_workers, pool_map};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// How a task reports failure to the supervisor.
@@ -130,19 +129,17 @@ impl std::error::Error for TaskFailure {}
 #[derive(Debug, Clone)]
 pub struct SupervisorConfig {
     /// Worker threads (0 = [`default_workers`]). `<= 1` runs tasks
-    /// sequentially on the calling thread (no watchdog thread; deadlines
-    /// are then checked after each task returns).
+    /// sequentially on the calling thread.
     pub workers: usize,
     /// Retries after a transient failure (0 = single attempt).
     pub retries: u32,
-    /// Per-task soft deadline covering all attempts of that task.
+    /// Per-task soft deadline covering all attempts of that task,
+    /// checked when each attempt returns.
     pub task_timeout: Option<Duration>,
     /// First backoff sleep; attempt `n` waits `base * 2^(n-1)`.
     pub backoff_base: Duration,
     /// Upper bound on a single backoff sleep.
     pub backoff_cap: Duration,
-    /// Watchdog scan interval.
-    pub poll_interval: Duration,
 }
 
 impl Default for SupervisorConfig {
@@ -153,7 +150,6 @@ impl Default for SupervisorConfig {
             task_timeout: None,
             backoff_base: Duration::from_millis(25),
             backoff_cap: Duration::from_secs(1),
-            poll_interval: Duration::from_millis(2),
         }
     }
 }
@@ -181,6 +177,173 @@ impl RunPolicy {
             task_timeout: self.task_timeout,
             ..SupervisorConfig::default()
         }
+    }
+}
+
+/// What a chaos plan tells one task attempt to do.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ChaosAction {
+    /// Run normally.
+    None,
+    /// Panic with the given message (exercises `catch_unwind` isolation).
+    Panic(String),
+    /// Sleep this many milliseconds before running (exercises deadlines).
+    Delay(u64),
+    /// Fail with a retryable error (exercises retry/backoff).
+    Transient(String),
+    /// Fail with a non-retryable error.
+    Fatal(String),
+}
+
+/// One explicitly scheduled fault.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct ChaosRule {
+    key: u64,
+    /// `None` = every attempt of this task; `Some(n)` = only attempt `n`.
+    attempt: Option<u32>,
+    action: ChaosAction,
+}
+
+/// Fault rates for a seeded random plan. Each is a `1 / one_in`
+/// probability per `(key, attempt)` pair (0 disables that fault class).
+/// Panic takes precedence over transient, transient over delay.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ChaosRates {
+    /// Inject a panic roughly one attempt in this many.
+    pub panic_one_in: u32,
+    /// Inject a transient error roughly one attempt in this many.
+    pub transient_one_in: u32,
+    /// Inject a delay roughly one attempt in this many.
+    pub delay_one_in: u32,
+    /// Delay length in `1..=delay_max_ms` when a delay fires.
+    pub delay_max_ms: u64,
+}
+
+/// A deterministic schedule of compute faults, keyed by `(task key,
+/// attempt)`. The task key is chosen by the pipeline under test (snapshot
+/// day, figure number, plain index — whatever identifies the task
+/// stably); attempts are 1-based.
+///
+/// `action_for` is a pure function, so the same plan consulted by the
+/// executor and by a test oracle always agrees — a test can predict the
+/// exact set of failures a supervised run must report.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct ChaosTaskPlan {
+    rules: Vec<ChaosRule>,
+    seeded: Option<(u64, ChaosRates)>,
+}
+
+/// SplitMix64 step: the seeded plan's per-`(key, attempt)` stream.
+fn splitmix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+impl ChaosTaskPlan {
+    /// A plan with faults drawn deterministically from `seed` at the given
+    /// rates. Equal seeds give equal schedules.
+    pub fn seeded(seed: u64, rates: ChaosRates) -> Self {
+        ChaosTaskPlan {
+            rules: Vec::new(),
+            seeded: Some((seed, rates)),
+        }
+    }
+
+    /// Add an explicitly scheduled fault for task `key`. `attempt = None`
+    /// fires on every attempt (the task can never succeed); `Some(n)`
+    /// fires only on attempt `n` (a retry recovers). Scheduled rules take
+    /// precedence over the seeded background rates.
+    pub fn with_rule(mut self, key: u64, attempt: Option<u32>, action: ChaosAction) -> Self {
+        self.rules.push(ChaosRule {
+            key,
+            attempt,
+            action,
+        });
+        self
+    }
+
+    /// The action task `key` must take on its `attempt`-th try (1-based).
+    pub fn action_for(&self, key: u64, attempt: u32) -> ChaosAction {
+        for rule in &self.rules {
+            if rule.key == key && rule.attempt.is_none_or(|a| a == attempt) {
+                return rule.action.clone();
+            }
+        }
+        if let Some((seed, rates)) = &self.seeded {
+            // Mix seed, key, and attempt into an independent stream per
+            // (key, attempt) pair.
+            let mut state =
+                seed ^ key.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ ((attempt as u64) << 48);
+            let mut one_in = |n: u32| n > 0 && splitmix(&mut state).is_multiple_of(n as u64);
+            if one_in(rates.panic_one_in) {
+                return ChaosAction::Panic(format!("chaos panic (key {key}, attempt {attempt})"));
+            }
+            if one_in(rates.transient_one_in) {
+                return ChaosAction::Transient(format!(
+                    "chaos transient fault (key {key}, attempt {attempt})"
+                ));
+            }
+            if one_in(rates.delay_one_in) && rates.delay_max_ms > 0 {
+                return ChaosAction::Delay(1 + splitmix(&mut state) % rates.delay_max_ms);
+            }
+        }
+        ChaosAction::None
+    }
+
+    /// True when the plan can never fire (no rules, no seeded rates).
+    pub fn is_empty(&self) -> bool {
+        self.rules.is_empty() && self.seeded.is_none()
+    }
+
+    /// Parse a comma-separated spec of scheduled faults, e.g.
+    /// `panic@12`, `panic@12#1,delay:200@5`, `transient@7#2,fatal@9`.
+    ///
+    /// Grammar per entry: `<action>@<key>[#<attempt>]` with `action` one
+    /// of `panic`, `transient`, `fatal`, or `delay:<ms>`. Without
+    /// `#<attempt>` the fault fires on every attempt.
+    pub fn from_spec(spec: &str) -> Result<Self, String> {
+        let mut plan = ChaosTaskPlan::default();
+        for entry in spec.split(',').map(str::trim).filter(|e| !e.is_empty()) {
+            let (action_str, target) = entry
+                .split_once('@')
+                .ok_or_else(|| format!("chaos entry '{entry}' is missing '@<key>'"))?;
+            let (key_str, attempt) = match target.split_once('#') {
+                Some((k, a)) => {
+                    let a: u32 = a
+                        .parse()
+                        .map_err(|_| format!("bad attempt '{a}' in chaos entry '{entry}'"))?;
+                    (k, Some(a))
+                }
+                None => (target, None),
+            };
+            let key: u64 = key_str
+                .parse()
+                .map_err(|_| format!("bad key '{key_str}' in chaos entry '{entry}'"))?;
+            let action = match action_str {
+                "panic" => ChaosAction::Panic(format!("injected panic for task key {key}")),
+                "transient" => {
+                    ChaosAction::Transient(format!("injected transient fault for task key {key}"))
+                }
+                "fatal" => ChaosAction::Fatal(format!("injected fatal fault for task key {key}")),
+                other => match other.split_once(':') {
+                    Some(("delay", ms)) => ChaosAction::Delay(
+                        ms.parse()
+                            .map_err(|_| format!("bad delay '{ms}' in chaos entry '{entry}'"))?,
+                    ),
+                    _ => {
+                        return Err(format!(
+                            "unknown chaos action '{action_str}' \
+                             (panic|transient|fatal|delay:<ms>)"
+                        ))
+                    }
+                },
+            };
+            plan = plan.with_rule(key, attempt, action);
+        }
+        Ok(plan)
     }
 }
 
@@ -225,35 +388,23 @@ fn backoff(cfg: &SupervisorConfig, attempt: u32) -> Duration {
     cfg.backoff_base.saturating_mul(mult).min(cfg.backoff_cap)
 }
 
-enum Outcome<R> {
-    Done(Result<R, TaskFailure>),
-    /// The watchdog already reported this task; discard silently.
-    Abandoned,
-}
-
 /// The attempt loop shared by every supervised execution path.
 fn attempt_loop<R>(
     index: usize,
     label: &str,
     cfg: &SupervisorConfig,
     mut run: impl FnMut(u32) -> TaskResult<R>,
-    mut abandoned: impl FnMut() -> bool,
-    mut note_attempt: impl FnMut(u32),
-) -> Outcome<R> {
+) -> Result<R, TaskFailure> {
     let started = Instant::now();
     let mut attempt = 0u32;
     let over_deadline =
         |elapsed: Duration| cfg.task_timeout.is_some_and(|deadline| elapsed > deadline);
-    let outcome = loop {
+    let result = loop {
         attempt += 1;
-        if abandoned() {
-            break Outcome::Abandoned;
-        }
         osn_obs::counter!("supervisor.attempts").inc();
         if attempt > 1 {
             osn_obs::counter!("supervisor.retries").inc();
         }
-        note_attempt(attempt);
         let caught = catch_unwind(AssertUnwindSafe(|| run(attempt)));
         let elapsed = started.elapsed();
         let fail = |kind: FailureKind, payload: String| TaskFailure {
@@ -264,52 +415,42 @@ fn attempt_loop<R>(
             attempts: attempt,
             elapsed,
         };
-        // A completed-but-late attempt is quarantined regardless of its
-        // result, so deadline semantics do not depend on whether the
-        // watchdog's poll happened to fire first.
+        // A late attempt is quarantined whatever it returned: its value
+        // never reaches the caller.
         if over_deadline(elapsed) {
-            break Outcome::Done(Err(fail(
+            break Err(fail(
                 FailureKind::TimedOut,
                 format!(
                     "exceeded soft deadline of {:?}",
                     cfg.task_timeout.unwrap_or_default()
                 ),
-            )));
+            ));
         }
         match caught {
-            Ok(Ok(value)) => break Outcome::Done(Ok(value)),
+            Ok(Ok(value)) => break Ok(value),
             Ok(Err(TaskError::Transient(msg))) => {
                 if attempt <= cfg.retries {
                     std::thread::sleep(backoff(cfg, attempt));
                     continue;
                 }
-                break Outcome::Done(Err(fail(FailureKind::TransientExhausted, msg)));
+                break Err(fail(FailureKind::TransientExhausted, msg));
             }
-            Ok(Err(TaskError::Fatal(msg))) => {
-                break Outcome::Done(Err(fail(FailureKind::Fatal, msg)))
-            }
-            Err(payload) => {
-                break Outcome::Done(Err(fail(
-                    FailureKind::Panicked,
-                    panic_payload_string(payload),
-                )))
-            }
+            Ok(Err(TaskError::Fatal(msg))) => break Err(fail(FailureKind::Fatal, msg)),
+            Err(payload) => break Err(fail(FailureKind::Panicked, panic_payload_string(payload))),
         }
     };
     if osn_obs::enabled() {
-        if let Outcome::Done(result) = &outcome {
-            osn_obs::histogram!("supervisor.task_us").record_duration(started.elapsed());
-            match result {
-                Ok(_) => osn_obs::counter!("supervisor.tasks_ok").inc(),
-                Err(f) => {
-                    osn_obs::counter!("supervisor.tasks_failed").inc();
-                    // Cold path: the dynamic-name registry lookup is fine.
-                    osn_obs::counter(&format!("supervisor.failed.{}", f.kind.as_str())).inc();
-                }
+        osn_obs::histogram!("supervisor.task_us").record_duration(started.elapsed());
+        match &result {
+            Ok(_) => osn_obs::counter!("supervisor.tasks_ok").inc(),
+            Err(f) => {
+                osn_obs::counter!("supervisor.tasks_failed").inc();
+                // Cold path: the dynamic-name registry lookup is fine.
+                osn_obs::counter(&format!("supervisor.failed.{}", f.kind.as_str())).inc();
             }
         }
     }
-    outcome
+    result
 }
 
 /// Run a single stateful task under supervision: catch-unwind isolation,
@@ -320,22 +461,7 @@ pub fn supervised_call<R>(
     cfg: &SupervisorConfig,
     run: impl FnMut(u32) -> TaskResult<R>,
 ) -> Result<R, TaskFailure> {
-    match attempt_loop(0, label, cfg, run, || false, |_| {}) {
-        Outcome::Done(result) => result,
-        Outcome::Abandoned => unreachable!("single calls are never abandoned"),
-    }
-}
-
-/// What a worker slot is doing, for the watchdog to inspect.
-enum Slot {
-    Idle,
-    Running {
-        index: usize,
-        label: String,
-        started: Instant,
-        attempt: u32,
-        quarantined: bool,
-    },
+    attempt_loop(0, label, cfg, run)
 }
 
 /// Map `f` over `items` under supervision, preserving input order:
@@ -358,7 +484,8 @@ where
 }
 
 /// [`try_par_map`] with a caller-supplied label per task (shown in
-/// failures, manifests and quarantine records).
+/// failures, manifests and quarantine records): one attempt loop per
+/// item on `pool_map`'s workers.
 pub fn try_par_map_labeled<I, T, R, F, L>(
     items: I,
     cfg: &SupervisorConfig,
@@ -373,155 +500,19 @@ where
     F: Fn(TaskAttempt, &T) -> TaskResult<R> + Sync,
     L: Fn(usize, &T) -> String + Sync,
 {
-    let workers = if cfg.workers == 0 {
-        default_workers()
-    } else {
-        cfg.workers
+    let workers = match cfg.workers {
+        0 => default_workers(),
+        n => n,
     };
-    if workers <= 1 {
-        return items
-            .into_iter()
-            .enumerate()
-            .map(|(index, item)| {
-                let lab = label(index, &item);
-                let run = |attempt| f(TaskAttempt { index, attempt }, &item);
-                match attempt_loop(index, &lab, cfg, run, || false, |_| {}) {
-                    Outcome::Done(result) => result,
-                    Outcome::Abandoned => unreachable!("no watchdog in sequential mode"),
-                }
-            })
-            .collect();
-    }
-
-    let (task_tx, task_rx) = channel::bounded::<(usize, T)>(workers * 2);
-    let (result_tx, result_rx) = channel::unbounded::<(usize, Result<R, TaskFailure>)>();
-    let slots: Vec<Mutex<Slot>> = (0..workers).map(|_| Mutex::new(Slot::Idle)).collect();
-    let live_workers = AtomicUsize::new(workers);
-    let (f, label, slots, live_workers) = (&f, &label, &slots, &live_workers);
-    let mut results: Vec<(usize, Result<R, TaskFailure>)> = Vec::new();
-    crossbeam::scope(|scope| {
-        // Feeder: pushes indexed items; blocks when the queue is full so
-        // at most `workers * 2 + workers` items are materialised at once.
-        let iter = items.into_iter();
-        scope.spawn(move |_| {
-            for pair in iter.enumerate() {
-                if task_tx.send(pair).is_err() {
-                    break;
-                }
-            }
-        });
-        for slot in slots.iter().take(workers) {
-            let task_rx = task_rx.clone();
-            let result_tx = result_tx.clone();
-            scope.spawn(move |_| {
-                for (index, item) in task_rx.iter() {
-                    let lab = label(index, &item);
-                    *slot.lock().unwrap() = Slot::Running {
-                        index,
-                        label: lab.clone(),
-                        started: Instant::now(),
-                        attempt: 0,
-                        quarantined: false,
-                    };
-                    let run = |attempt| f(TaskAttempt { index, attempt }, &item);
-                    let outcome = attempt_loop(
-                        index,
-                        &lab,
-                        cfg,
-                        run,
-                        || {
-                            matches!(
-                                &*slot.lock().unwrap(),
-                                Slot::Running {
-                                    quarantined: true,
-                                    ..
-                                }
-                            )
-                        },
-                        |a| {
-                            if let Slot::Running { attempt, .. } = &mut *slot.lock().unwrap() {
-                                *attempt = a;
-                            }
-                        },
-                    );
-                    // Deliver under the slot lock: either the watchdog
-                    // already reported this index (quarantined — discard
-                    // the late result) or we report it now. Exactly one
-                    // verdict per index, never both.
-                    let mut slot = slot.lock().unwrap();
-                    let quarantined = matches!(
-                        &*slot,
-                        Slot::Running {
-                            quarantined: true,
-                            ..
-                        }
-                    );
-                    let mut disconnected = false;
-                    if !quarantined {
-                        if let Outcome::Done(result) = outcome {
-                            disconnected = result_tx.send((index, result)).is_err();
-                        }
-                    }
-                    *slot = Slot::Idle;
-                    drop(slot);
-                    if disconnected {
-                        break;
-                    }
-                }
-                live_workers.fetch_sub(1, Ordering::SeqCst);
-            });
-        }
-        if let Some(deadline) = cfg.task_timeout {
-            let result_tx = result_tx.clone();
-            scope.spawn(move |_| {
-                while live_workers.load(Ordering::SeqCst) > 0 {
-                    std::thread::sleep(cfg.poll_interval);
-                    for slot in slots {
-                        let mut slot = slot.lock().unwrap();
-                        if let Slot::Running {
-                            index,
-                            label,
-                            started,
-                            attempt,
-                            quarantined,
-                        } = &mut *slot
-                        {
-                            if !*quarantined && started.elapsed() > deadline {
-                                *quarantined = true;
-                                osn_obs::counter!("supervisor.quarantined").inc();
-                                let failure = TaskFailure {
-                                    index: *index,
-                                    label: label.clone(),
-                                    kind: FailureKind::TimedOut,
-                                    payload: format!(
-                                        "exceeded soft deadline of {deadline:?} \
-                                         (quarantined by watchdog)"
-                                    ),
-                                    attempts: (*attempt).max(1),
-                                    elapsed: started.elapsed(),
-                                };
-                                if result_tx.send((*index, Err(failure))).is_err() {
-                                    return;
-                                }
-                            }
-                        }
-                    }
-                }
-            });
-        }
-        drop(task_rx);
-        drop(result_tx);
-        for pair in result_rx.iter() {
-            results.push(pair);
-        }
-    })
-    .expect("supervisor coordination thread panicked");
-    results.sort_unstable_by_key(|&(index, _)| index);
-    debug_assert!(
-        results.iter().enumerate().all(|(i, &(idx, _))| i == idx),
-        "every task must be reported exactly once"
-    );
-    results.into_iter().map(|(_, r)| r).collect()
+    pool_map(
+        items,
+        workers,
+        || (),
+        |_, index, item| {
+            let run = |attempt| f(TaskAttempt { index, attempt }, &item);
+            attempt_loop(index, &label(index, &item), cfg, run)
+        },
+    )
 }
 
 #[cfg(test)]
@@ -571,7 +562,7 @@ mod tests {
 
     #[test]
     fn transient_errors_retry_then_succeed() {
-        use std::sync::atomic::AtomicU32;
+        use std::sync::atomic::{AtomicU32, Ordering};
         let attempts_seen = AtomicU32::new(0);
         let cfg = SupervisorConfig {
             workers: 2,
@@ -625,11 +616,10 @@ mod tests {
     }
 
     #[test]
-    fn watchdog_quarantines_overrunner_and_run_continues() {
+    fn late_task_quarantined_post_hoc_and_run_continues() {
         let cfg = SupervisorConfig {
             workers: 3,
             task_timeout: Some(Duration::from_millis(20)),
-            poll_interval: Duration::from_millis(2),
             ..SupervisorConfig::default()
         };
         let out = try_par_map(0..12u64, &cfg, |_, &x| {
@@ -709,7 +699,6 @@ mod tests {
 
     #[test]
     fn chaos_gate_maps_plan_actions() {
-        use osn_graph::testutil::ChaosTaskPlan;
         let plan = ChaosTaskPlan::from_spec("transient@1,fatal@2,panic@3,delay:1@4").unwrap();
         assert!(chaos_gate(None, 3, 1).is_ok());
         assert!(chaos_gate(Some(&plan), 0, 1).is_ok());
@@ -731,5 +720,91 @@ mod tests {
         let out: Vec<Result<u64, _>> =
             try_par_map(std::iter::empty::<u64>(), &par_cfg(4), |_, &x| Ok(x));
         assert!(out.is_empty());
+    }
+
+    #[test]
+    fn chaos_plan_rules_match_key_and_attempt() {
+        let plan = ChaosTaskPlan::default()
+            .with_rule(12, None, ChaosAction::Panic("boom".into()))
+            .with_rule(5, Some(1), ChaosAction::Transient("flaky".into()));
+        assert_eq!(plan.action_for(12, 1), ChaosAction::Panic("boom".into()));
+        assert_eq!(plan.action_for(12, 3), ChaosAction::Panic("boom".into()));
+        assert_eq!(
+            plan.action_for(5, 1),
+            ChaosAction::Transient("flaky".into())
+        );
+        assert_eq!(plan.action_for(5, 2), ChaosAction::None, "retry recovers");
+        assert_eq!(plan.action_for(7, 1), ChaosAction::None);
+        assert!(!plan.is_empty());
+        assert!(ChaosTaskPlan::default().is_empty());
+    }
+
+    #[test]
+    fn chaos_plan_seeded_is_deterministic_and_attempt_sensitive() {
+        let rates = ChaosRates {
+            panic_one_in: 3,
+            transient_one_in: 3,
+            delay_one_in: 4,
+            delay_max_ms: 20,
+        };
+        let a = ChaosTaskPlan::seeded(42, rates);
+        let b = ChaosTaskPlan::seeded(42, rates);
+        let mut fired = 0;
+        let mut attempt_sensitive = false;
+        for key in 0..200u64 {
+            assert_eq!(a.action_for(key, 1), b.action_for(key, 1));
+            if a.action_for(key, 1) != ChaosAction::None {
+                fired += 1;
+            }
+            if a.action_for(key, 1) != a.action_for(key, 2) {
+                attempt_sensitive = true;
+            }
+        }
+        assert!(fired > 20, "rates of 1/3 must fire often ({fired}/200)");
+        assert!(attempt_sensitive, "attempt must change the outcome");
+    }
+
+    #[test]
+    fn chaos_plan_seeded_schedule_is_pinned() {
+        // The seeded stream is part of the plan's contract: recorded
+        // chaos drills replay only if (seed, key, attempt) keeps mapping
+        // to the same action.
+        let plan = ChaosTaskPlan::seeded(
+            42,
+            ChaosRates {
+                panic_one_in: 6,
+                transient_one_in: 4,
+                delay_one_in: 2,
+                delay_max_ms: 50,
+            },
+        );
+        let schedule: Vec<String> = (0..12u64)
+            .map(|key| match plan.action_for(key, 1 + key as u32 % 2) {
+                ChaosAction::None => "-".to_string(),
+                ChaosAction::Panic(_) => "P".to_string(),
+                ChaosAction::Transient(_) => "T".to_string(),
+                ChaosAction::Fatal(_) => "F".to_string(),
+                ChaosAction::Delay(ms) => format!("D{ms}"),
+            })
+            .collect();
+        assert_eq!(schedule.join(" "), "T - P D44 D42 P T P P T D3 T");
+    }
+
+    #[test]
+    fn chaos_plan_spec_roundtrip() {
+        let plan = ChaosTaskPlan::from_spec("panic@12#1, delay:200@5, transient@7, fatal@9#2")
+            .expect("valid spec");
+        assert!(matches!(plan.action_for(12, 1), ChaosAction::Panic(_)));
+        assert_eq!(plan.action_for(12, 2), ChaosAction::None);
+        assert_eq!(plan.action_for(5, 3), ChaosAction::Delay(200));
+        assert!(matches!(plan.action_for(7, 4), ChaosAction::Transient(_)));
+        assert!(matches!(plan.action_for(9, 2), ChaosAction::Fatal(_)));
+        assert_eq!(plan.action_for(9, 1), ChaosAction::None);
+
+        assert!(ChaosTaskPlan::from_spec("panic12").is_err());
+        assert!(ChaosTaskPlan::from_spec("explode@3").is_err());
+        assert!(ChaosTaskPlan::from_spec("panic@x").is_err());
+        assert!(ChaosTaskPlan::from_spec("panic@3#y").is_err());
+        assert!(ChaosTaskPlan::from_spec("delay:abc@3").is_err());
     }
 }

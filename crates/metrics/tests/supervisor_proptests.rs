@@ -6,8 +6,10 @@
 //! the supervisor must return and after how many attempts — then check
 //! the parallel run against that prediction.
 
-use osn_graph::testutil::{ChaosAction, ChaosRates, ChaosTaskPlan};
-use osn_metrics::supervisor::{chaos_gate, try_par_map, FailureKind, SupervisorConfig, TaskResult};
+use osn_metrics::supervisor::{
+    chaos_gate, try_par_map, ChaosAction, ChaosRates, ChaosTaskPlan, FailureKind, SupervisorConfig,
+    TaskResult,
+};
 use proptest::prelude::*;
 use std::time::Duration;
 

@@ -15,9 +15,8 @@
 use crate::http::Response;
 use crate::router::Route;
 use osn_core::query::SnapshotQuery;
-use osn_graph::testutil::ChaosTaskPlan;
 use osn_metrics::supervisor::{
-    chaos_gate, supervised_call, FailureKind, SupervisorConfig, TaskFailure,
+    chaos_gate, supervised_call, ChaosTaskPlan, FailureKind, SupervisorConfig, TaskFailure,
 };
 use std::time::Duration;
 
@@ -114,7 +113,7 @@ pub fn handle(query: &SnapshotQuery, route: Route, policy: &HandlerPolicy) -> Ha
 mod tests {
     use super::*;
     use osn_genstream::{TraceConfig, TraceGenerator};
-    use osn_graph::testutil::ChaosAction;
+    use osn_metrics::supervisor::ChaosAction;
     use std::sync::OnceLock;
 
     fn query() -> &'static SnapshotQuery {

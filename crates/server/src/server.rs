@@ -48,7 +48,7 @@ use crate::router::{route, Route};
 use crate::write::{WritePlaneConfig, WriteState};
 use osn_core::live::LiveQuery;
 use osn_core::query::SnapshotQuery;
-use osn_graph::testutil::ChaosTaskPlan;
+use osn_metrics::supervisor::ChaosTaskPlan;
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -88,8 +88,9 @@ const WORKER_BURST: u64 = 64;
 /// request latency.
 const STAGE_TICK: Duration = Duration::from_millis(20);
 /// Everything `Server::start` needs. `Default` gives the classic
-/// single-shard values; tests override the knobs they are drilling and
-/// the CLI asks for `shards: 0` (one per core).
+/// single-shard values; tests override the knobs they are drilling.
+/// `osn serve` also runs one shard unless `--shards` says otherwise;
+/// `--shards 0` asks for one per core.
 #[derive(Debug)]
 pub struct ServerConfig {
     /// Bind address; port 0 picks an ephemeral port (see

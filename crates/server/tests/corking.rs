@@ -10,8 +10,9 @@ use osn_core::communities::CommunityAnalysisConfig;
 use osn_core::network::MetricSeriesConfig;
 use osn_core::query::SnapshotQuery;
 use osn_genstream::{TraceConfig, TraceGenerator};
-use osn_graph::testutil::{ChaosAction, ChaosTaskPlan, HttpClient};
+use osn_graph::testutil::HttpClient;
 use osn_graph::wal::{Wal, WalOptions};
+use osn_metrics::supervisor::{ChaosAction, ChaosTaskPlan};
 use osn_server::{Server, ServerConfig, WritePlaneConfig};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};

@@ -13,9 +13,9 @@ use osn_core::network::MetricSeriesConfig;
 use osn_core::query::SnapshotQuery;
 use osn_genstream::{TraceConfig, TraceGenerator};
 use osn_graph::testutil::{
-    header_flood, http_get, http_get_half_close, slow_loris, ChaosAction, ChaosHttpOutcome,
-    ChaosTaskPlan,
+    header_flood, http_get, http_get_half_close, slow_loris, ChaosHttpOutcome,
 };
+use osn_metrics::supervisor::{ChaosAction, ChaosTaskPlan};
 use osn_server::{Server, ServerConfig};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
