@@ -1,7 +1,10 @@
 //! Checkpointed, resumable analysis pipelines.
 //!
 //! A checkpoint directory lets a killed `osn metrics` / `osn communities`
-//! run resume from the last completed snapshot instead of starting over.
+//! run resume from its last save instead of starting over. Metrics rows
+//! are saved every `2 × workers` days; the communities state, which holds
+//! every summary so far, once an eighth of the snapshots observed are
+//! unsaved. Both save at the end of a run.
 //! Every file in the directory is written atomically (tmp + rename, see
 //! `osn_graph::atomicfile`), so a `kill -9` at any instant leaves either
 //! the previous complete state or the new one — never a torn file — and a
@@ -571,11 +574,13 @@ fn parse_communities_state(
     Ok((summaries, state))
 }
 
-/// Run the community tracker with checkpoint/resume support: after every
-/// observed snapshot the summaries and full tracker state are written
-/// atomically to `dir`, and a rerun (same log, same config) resumes from
-/// the last completed snapshot, producing results identical to an
-/// uninterrupted [`track`](crate::communities::track) run.
+/// Run the community tracker with checkpoint/resume support: the
+/// summaries and full tracker state are written atomically to `dir` once
+/// the snapshots observed since the last write reach an eighth of all
+/// observed so far (so O(log n) times over n snapshots), and after the
+/// last one; a rerun (same log, same config) resumes from the last saved
+/// snapshot, producing results identical to an uninterrupted
+/// [`track`](crate::communities::track) run.
 pub fn track_checkpointed(
     log: &EventLog,
     cfg: &CommunityAnalysisConfig,
@@ -666,7 +671,15 @@ pub(crate) fn run_communities(
         None => (CommunityTracker::new(cfg.tracker_config()), Vec::new(), 0),
     };
 
-    let mut new_snaps = 0usize;
+    let save = |summaries: &[SnapshotSummary], tracker: &CommunityTracker| {
+        let state = tracker.export_state().expect("state after observe");
+        osn_obs::counter!("checkpoint.communities.saves").inc();
+        write_bytes_atomic(
+            &state_path,
+            render_communities_state(summaries, &state).as_bytes(),
+        )
+    };
+    let (mut new_snaps, mut unsaved) = (0usize, 0usize);
     for &day in days[start..].iter() {
         if quarantined.contains_key(&day) {
             // Quarantined by a previous run: deterministically skipped.
@@ -681,17 +694,23 @@ pub(crate) fn run_communities(
         match observe_supervised(&mut tracker, day, &replayer.freeze(), policy) {
             Ok(summary) => {
                 summaries.push(summary);
-                let state = tracker.export_state().expect("state after observe");
-                write_bytes_atomic(
-                    &state_path,
-                    render_communities_state(&summaries, &state).as_bytes(),
-                )?;
+                unsaved += 1;
+                // The file holds every summary, so rewriting it per
+                // snapshot costs O(n²) bytes over a run; saving once an
+                // eighth of those observed are unsaved costs O(n log n).
+                if unsaved >= summaries.len().div_ceil(8) {
+                    save(&summaries, &tracker)?;
+                    unsaved = 0;
+                }
             }
             Err(failure) => {
                 quarantined.insert(day, QuarantinedTask::from_failure(day, &failure));
                 write_bytes_atomic(&quarantine_path, render_quarantine(&quarantined).as_bytes())?;
             }
         }
+    }
+    if unsaved > 0 {
+        save(&summaries, &tracker)?;
     }
     Ok(Some((
         (summaries, tracker.finish()),

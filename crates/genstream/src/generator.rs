@@ -666,6 +666,17 @@ mod tests {
         assert_ne!(a.num_edges(), c.num_edges());
     }
 
+    /// The tiny trace in the v2 format, pinned by length and CRC-32 as
+    /// the `core::fmt` encoder wrote it: a change to the generator or to
+    /// the writer's bytes fails here.
+    #[test]
+    fn tiny_trace_v2_bytes_are_pinned() {
+        let mut bytes = Vec::new();
+        osn_graph::io::write_log_v2(&tiny_log(), &mut bytes).unwrap();
+        let crc = osn_graph::crc32::crc32(&bytes);
+        assert_eq!((bytes.len(), crc), (116_697, 0xcffd_bf68), "crc {crc:08x}");
+    }
+
     #[test]
     fn all_origins_present() {
         let log = tiny_log();

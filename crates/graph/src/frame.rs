@@ -13,22 +13,24 @@
 //!   [`WalEvent`], with a fast path for the exact spelling the writers
 //!   emit; [`parse_event_line`] stays the one definition of the grammar
 //!   and its error messages.
-//! * The CRC itself is [`crate::crc32::Crc32`].
+//! * The CRC itself is [`crate::crc32`].
 //!
 //! Every writer appends through the encoder ([`encode_magic`],
 //! [`encode_chunk`], [`encode_directive`], [`encode_footer`]) and keeps
 //! the footer's running count and CRC in a [`Totals`], the type the
-//! [`Framer`] checks footers against.
+//! [`Framer`] checks footers against. Each chunk's payload is checksummed
+//! once, on write by [`encode_directive`] and on read by the [`Framer`];
+//! a [`Totals`] folds that [`ChunkSum`] into the footer's CRC with
+//! [`crc32_combine`] instead of reading the payload again.
 //!
 //! A dropped chunk (count or CRC mismatch, or no directive before the
 //! footer) is one problem however many lines it held: both readers
 //! charge it as one unit of a `Skip` error budget.
 
-use crate::crc32::{crc32, Crc32};
+use crate::crc32::{crc32, crc32_combine};
 use crate::event::Origin;
 use crate::io::ParseError;
-use std::io::{self, Read, Write};
-use std::ops::Range;
+use std::io::{self, Read};
 
 /// First line of a v2 trace file.
 pub const FORMAT_V2_MAGIC: &str = "#%osn-events v2";
@@ -231,12 +233,13 @@ impl Framer {
         let verdict = if lines != read {
             Err(format!("chunk declares {lines} lines but {read} were read"))
         } else {
-            let got = crc32(&self.open);
-            if crc == got {
-                Ok(())
+            let sum = ChunkSum::of(&self.open, read);
+            if crc == sum.crc {
+                Ok(sum)
             } else {
                 Err(format!(
-                    "chunk checksum mismatch: expected {crc:08x}, got {got:08x}"
+                    "chunk checksum mismatch: expected {crc:08x}, got {:08x}",
+                    sum.crc
                 ))
             }
         };
@@ -244,8 +247,8 @@ impl Framer {
             osn_obs::histogram!("ingest.chunk_verify_us").record_duration(t0.elapsed());
         }
         match verdict {
-            Ok(()) => {
-                self.totals.add(&self.open, read);
+            Ok(sum) => {
+                self.totals.add(sum);
                 std::mem::swap(&mut self.open, &mut self.done);
                 std::mem::swap(&mut self.open_lines, &mut self.done_lines);
                 self.discard_open();
@@ -267,7 +270,7 @@ impl Framer {
             self.discard_open();
             "unterminated chunk before footer".to_string()
         });
-        let got = self.totals.crc.finalize();
+        let got = self.totals.crc;
         let verdict = if events as u64 == self.totals.lines && crc == got {
             Ok(())
         } else {
@@ -308,26 +311,81 @@ impl<'a> Iterator for Chunk<'a> {
     }
 }
 
+/// One closed chunk: its payload's CRC, byte length and line count —
+/// everything a [`Totals`] needs to fold it in.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ChunkSum {
+    crc: u32,
+    len: u64,
+    lines: u64,
+}
+
+impl ChunkSum {
+    /// Checksum `payload`, `lines` lines each followed by `\n`: the one
+    /// pass over a chunk's bytes.
+    fn of(payload: &[u8], lines: usize) -> ChunkSum {
+        ChunkSum {
+            crc: crc32(payload),
+            len: payload.len() as u64,
+            lines: lines as u64,
+        }
+    }
+}
+
 /// The footer's running totals: how many payload lines are committed and
 /// the CRC over them. The [`Framer`] checks a footer against its totals;
 /// the writers keep one per stream to write theirs.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct Totals {
     lines: u64,
-    crc: Crc32,
+    /// `crc32` of every committed payload byte (0 for none).
+    crc: u32,
 }
 
 impl Totals {
-    /// Fold in one chunk's payload: `lines` lines, each followed by `\n`.
-    pub(crate) fn add(&mut self, payload: &[u8], lines: usize) {
-        self.crc.update(payload);
-        self.lines += lines as u64;
+    /// Fold in one chunk, as if its payload were fed after everything
+    /// committed so far.
+    pub(crate) fn add(&mut self, sum: ChunkSum) {
+        self.crc = crc32_combine(self.crc, sum.crc, sum.len);
+        self.lines += sum.lines;
     }
 
     /// Payload lines committed so far.
     pub(crate) fn lines(&self) -> u64 {
         self.lines
     }
+}
+
+/// Append `n` in decimal, as `{n}` formats it, without `core::fmt`.
+pub fn push_decimal(out: &mut Vec<u8>, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut i = digits.len();
+    loop {
+        i -= 1;
+        digits[i] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&digits[i..]);
+}
+
+/// Append `crc` as eight lower-case hex digits, as `{crc:08x}` formats it.
+pub(crate) fn push_hex8(out: &mut Vec<u8>, crc: u32) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    for shift in (0..32).step_by(4).rev() {
+        out.push(HEX[((crc >> shift) & 0xF) as usize]);
+    }
+}
+
+/// Append `<prefix><n> crc=<crc>\n`, the shape of both directives.
+fn push_directive(out: &mut Vec<u8>, prefix: &[u8], n: u64, crc: u32) {
+    out.extend_from_slice(prefix);
+    push_decimal(out, n);
+    out.extend_from_slice(b" crc=");
+    push_hex8(out, crc);
+    out.push(b'\n');
 }
 
 /// Append the format magic line.
@@ -337,46 +395,48 @@ pub(crate) fn encode_magic(buf: &mut Vec<u8>) {
 }
 
 /// Append `events` as one chunk — their payload lines, in the spelling
-/// [`parse_payload`]'s fast path reads, then the chunk directive — and
-/// fold the payload into `totals`. Returns where the payload lies in
-/// `buf`.
+/// [`parse_payload`]'s fast path reads, then the chunk directive. Returns
+/// the chunk for the stream's [`Totals`].
 pub(crate) fn encode_chunk(
     buf: &mut Vec<u8>,
     events: impl IntoIterator<Item = WalEvent>,
-    totals: &mut Totals,
-) -> io::Result<Range<usize>> {
+) -> ChunkSum {
     let start = buf.len();
     let mut lines = 0;
     for ev in events {
         match ev.kind {
-            WalEventKind::Node(origin) => writeln!(buf, "N {} {}", ev.time, origin.label())?,
-            WalEventKind::Edge(u, v) => writeln!(buf, "E {} {u} {v}", ev.time)?,
+            WalEventKind::Node(origin) => {
+                buf.extend_from_slice(b"N ");
+                push_decimal(buf, ev.time);
+                buf.push(b' ');
+                buf.extend_from_slice(origin.label().as_bytes());
+            }
+            WalEventKind::Edge(u, v) => {
+                buf.extend_from_slice(b"E ");
+                push_decimal(buf, ev.time);
+                buf.push(b' ');
+                push_decimal(buf, u64::from(u));
+                buf.push(b' ');
+                push_decimal(buf, u64::from(v));
+            }
         }
+        buf.push(b'\n');
         lines += 1;
     }
-    let payload = start..buf.len();
-    encode_directive(buf, start, lines, totals)?;
-    Ok(payload)
+    encode_directive(buf, start, lines)
 }
 
-/// Close the chunk whose `lines` payload lines are `buf[start..]`: append
-/// its directive and fold the payload into `totals`.
-pub(crate) fn encode_directive(
-    buf: &mut Vec<u8>,
-    start: usize,
-    lines: usize,
-    totals: &mut Totals,
-) -> io::Result<()> {
-    let payload = &buf[start..];
-    totals.add(payload, lines);
-    let crc = crc32(payload);
-    writeln!(buf, "#%chunk lines={lines} crc={crc:08x}")
+/// Close the chunk whose `lines` payload lines are `buf[start..]`:
+/// checksum the payload and append its directive.
+pub(crate) fn encode_directive(buf: &mut Vec<u8>, start: usize, lines: usize) -> ChunkSum {
+    let sum = ChunkSum::of(&buf[start..], lines);
+    push_directive(buf, b"#%chunk lines=", sum.lines, sum.crc);
+    sum
 }
 
 /// Append the `#%end` footer that `totals` verify.
-pub(crate) fn encode_footer(buf: &mut Vec<u8>, totals: &Totals) -> io::Result<()> {
-    let crc = totals.crc.finalize();
-    writeln!(buf, "#%end events={} crc={crc:08x}", totals.lines)
+pub(crate) fn encode_footer(buf: &mut Vec<u8>, totals: &Totals) {
+    push_directive(buf, b"#%end events=", totals.lines, totals.crc);
 }
 
 /// Parse a directive's fields, `<key><n> crc=<hex>` (`key` is `lines=`
@@ -653,6 +713,134 @@ mod tests {
                 _ => {}
             }
             prop_assert_eq!(fast_or_fallback(&line, 3), oracle(&line, 3));
+        }
+    }
+
+    /// The `core::fmt` spelling the encoder replaced, kept as its oracle:
+    /// the bytes of every v2 file and WAL segment written before it.
+    fn fmt_chunk(buf: &mut Vec<u8>, events: &[WalEvent]) {
+        use std::io::Write;
+        let start = buf.len();
+        for ev in events {
+            match ev.kind {
+                WalEventKind::Node(o) => writeln!(buf, "N {} {}", ev.time, o.label()).unwrap(),
+                WalEventKind::Edge(u, v) => writeln!(buf, "E {} {u} {v}", ev.time).unwrap(),
+            }
+        }
+        let crc = crc32(&buf[start..]);
+        writeln!(buf, "#%chunk lines={} crc={crc:08x}", events.len()).unwrap();
+    }
+
+    fn fmt_footer(buf: &mut Vec<u8>, events: usize, payload: &[u8]) {
+        use std::io::Write;
+        writeln!(buf, "#%end events={events} crc={:08x}", crc32(payload)).unwrap();
+    }
+
+    /// `raw` cut to at most `width` decimal digits and capped at `max`;
+    /// widths 0 and 1 give the extremes, 0 and `max`.
+    fn spread(raw: u64, width: u32, max: u64) -> u64 {
+        match width {
+            0 => 0,
+            1 => max,
+            w if w >= 20 => raw % max.saturating_add(1).max(1),
+            w => (raw % 10u64.pow(w)).min(max),
+        }
+    }
+
+    /// Raw draws for one event: time, two ids, a kind (0–2 a node of that
+    /// origin, else an edge) and a width for each number.
+    type RawEvent = (u64, u64, u64, u8, (u32, u32, u32));
+
+    fn raw_events(max: usize) -> impl Strategy<Value = Vec<RawEvent>> {
+        let widths = (0u32..22, 0u32..12, 0u32..12);
+        prop::collection::vec(
+            (any::<u64>(), any::<u64>(), any::<u64>(), 0u8..6, widths),
+            1..max,
+        )
+    }
+
+    /// Events with times over `0..=u64::MAX`, ids over `0..=u32::MAX`,
+    /// every origin, and numbers of every width.
+    fn events_from(raw: &[RawEvent]) -> Vec<WalEvent> {
+        let origins = [Origin::Core, Origin::Competitor, Origin::PostMerge];
+        (raw.iter())
+            .map(|&(t, u, v, kind, (wt, wu, wv))| {
+                let time = spread(t, wt, u64::MAX);
+                let id = |raw, w| spread(raw, w, u64::from(u32::MAX)) as u32;
+                match kind {
+                    0..=2 => WalEvent::node(time, origins[kind as usize]),
+                    _ => WalEvent::edge(time, id(u, wu), id(v, wv)),
+                }
+            })
+            .collect()
+    }
+
+    proptest! {
+        /// `encode_chunk` writes exactly the `core::fmt` oracle's bytes,
+        /// and returns the CRC, length and line count of its payload.
+        #[test]
+        fn encoder_matches_the_fmt_oracle(
+            raw in raw_events(48),
+            prefix in 0usize..3,
+        ) {
+            let events = events_from(&raw);
+            // Appending after earlier bytes, as every caller does.
+            let lead = &b"#%osn-events v2\n# batch seq=1\n"[..[0, 16, 30][prefix]];
+            let (mut got, mut want) = (lead.to_vec(), lead.to_vec());
+            let sum = encode_chunk(&mut got, events.iter().copied());
+            fmt_chunk(&mut want, &events);
+            prop_assert_eq!(String::from_utf8_lossy(&got), String::from_utf8_lossy(&want));
+            let payload_end = got.len() - (got.iter().rev().skip(1).position(|&b| b == b'\n').unwrap() + 1);
+            let payload = &got[lead.len()..payload_end];
+            prop_assert_eq!(sum.crc, crc32(payload));
+            prop_assert_eq!(sum.len, payload.len() as u64);
+            prop_assert_eq!(sum.lines, events.len() as u64);
+            for (line, ev) in payload.split(|&b| b == b'\n').zip(&events) {
+                prop_assert_eq!(parse_payload(line, 1).ok(), Some(*ev));
+            }
+        }
+
+        /// A `Totals` folded chunk by chunk holds the one-pass CRC of the
+        /// whole payload, and its footer is the oracle's.
+        #[test]
+        fn totals_fold_to_the_whole_payload_crc(
+            raw in raw_events(200),
+            cuts in prop::collection::vec(1usize..40, 1..12),
+        ) {
+            let events = events_from(&raw);
+            let (mut totals, mut payload, mut rest) = (Totals::default(), Vec::new(), &events[..]);
+            let mut cut = cuts.iter().cycle();
+            while !rest.is_empty() {
+                let n = (*cut.next().unwrap()).min(rest.len());
+                let mut buf = Vec::new();
+                totals.add(encode_chunk(&mut buf, rest[..n].iter().copied()));
+                let body = buf.len() - (buf.iter().rev().skip(1).position(|&b| b == b'\n').unwrap() + 1);
+                payload.extend_from_slice(&buf[..body]);
+                rest = &rest[n..];
+            }
+            prop_assert_eq!(totals.crc, crc32(&payload));
+            prop_assert_eq!(totals.lines(), events.len() as u64);
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            encode_footer(&mut got, &totals);
+            fmt_footer(&mut want, events.len(), &payload);
+            prop_assert_eq!(got, want);
+        }
+    }
+
+    #[test]
+    fn decimal_and_hex_match_fmt_at_the_edges() {
+        let powers = (0..20).map(|k| 10u64.pow(k));
+        let nines = (1..20).map(|k| 10u64.pow(k) - 1);
+        let extremes = [0, u64::from(u32::MAX), u64::MAX - 1, u64::MAX];
+        for n in powers.chain(nines).chain(extremes) {
+            let mut buf = Vec::new();
+            push_decimal(&mut buf, n);
+            assert_eq!(buf, n.to_string().into_bytes());
+        }
+        for crc in [0, 1, 0xF, 0x10, 0xDEAD_BEEF, 0x0123_4567, u32::MAX] {
+            let mut buf = Vec::new();
+            push_hex8(&mut buf, crc);
+            assert_eq!(buf, format!("{crc:08x}").into_bytes());
         }
     }
 

@@ -71,7 +71,7 @@ use std::collections::BinaryHeap;
 use std::fmt;
 use std::io::{self, BufWriter, Read, Write};
 
-pub use crate::frame::FORMAT_V2_MAGIC;
+pub use crate::frame::{push_decimal, FORMAT_V2_MAGIC};
 
 /// Default number of event lines per v2 chunk.
 pub const DEFAULT_CHUNK_LINES: usize = 1024;
@@ -396,11 +396,11 @@ pub fn write_log_v2_chunked<W: Write>(
     let mut totals = Totals::default();
     for events in log.events().chunks(chunk_lines) {
         buf.clear();
-        encode_chunk(&mut buf, events.iter().map(line_of), &mut totals)?;
+        totals.add(encode_chunk(&mut buf, events.iter().map(line_of)));
         w.write_all(&buf)?;
     }
     buf.clear();
-    encode_footer(&mut buf, &totals)?;
+    encode_footer(&mut buf, &totals);
     w.write_all(&buf)?;
     w.flush()
 }
@@ -465,7 +465,8 @@ impl<W: Write> LogAppender<W> {
             return Ok(());
         }
         self.buf.clear();
-        encode_chunk(&mut self.buf, events.iter().map(line_of), &mut self.totals)?;
+        self.totals
+            .add(encode_chunk(&mut self.buf, events.iter().map(line_of)));
         self.w.write_all(&self.buf)?;
         self.w.flush()
     }
@@ -480,7 +481,7 @@ impl<W: Write> LogAppender<W> {
     /// pending), which is exactly what a live reader expects mid-write.
     pub fn finish(mut self) -> io::Result<W> {
         self.buf.clear();
-        encode_footer(&mut self.buf, &self.totals)?;
+        encode_footer(&mut self.buf, &self.totals);
         self.w.write_all(&self.buf)?;
         self.w.flush()?;
         Ok(self.w)

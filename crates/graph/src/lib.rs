@@ -37,6 +37,7 @@ pub mod io;
 pub mod log;
 pub mod snapshots;
 pub mod tail;
+#[cfg(any(test, feature = "testutil"))]
 pub mod testutil;
 pub mod time;
 pub mod unionfind;

@@ -9,9 +9,10 @@
 //! The compute-plane analogue, `ChaosTaskPlan`, lives next to the
 //! executor it drives, in `osn_metrics::supervisor`.
 //!
-//! This module is part of the public API (rather than `#[cfg(test)]`) so
-//! integration tests in other crates and the workspace root can use it;
-//! production code has no reason to.
+//! The module is compiled for this crate's own tests and, through the
+//! `testutil` feature, for the integration tests of other crates and for
+//! the `bench_serve` load generator; no library or CLI code uses it, so
+//! the libraries build without it.
 
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpStream};

@@ -33,13 +33,13 @@ use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 
 use crate::atomicfile::write_bytes_atomic;
 use crate::crc32::crc32;
 use crate::frame::{
-    encode_chunk, encode_directive, encode_footer, encode_magic, parse_payload, BadDirective,
-    Frame, Framer, Lines, Totals, FORMAT_V2_MAGIC,
+    encode_chunk, encode_directive, encode_footer, encode_magic, parse_payload, push_decimal,
+    push_hex8, BadDirective, Frame, Framer, Lines, Totals, FORMAT_V2_MAGIC,
 };
 
 pub use crate::frame::{WalEvent, WalEventKind};
@@ -244,13 +244,24 @@ pub fn validate_key(key: &str) -> Result<(), WalError> {
     Ok(())
 }
 
-/// `# batch seq=<n> key=<k> events=<n> mark=<crc>` — the marker comment
-/// written immediately before each segment chunk, in the same `write(2)`.
-/// The `mark` CRC makes the marker self-checking: a torn or damaged marker
-/// is indistinguishable from an ordinary comment and is ignored.
-fn marker_line(seq: u64, key: Option<&str>, events: u64) -> String {
-    let body = format!("seq={seq} key={} events={events}", key.unwrap_or("-"));
-    format!("# batch {body} mark={:08x}\n", crc32(body.as_bytes()))
+/// Append `# batch seq=<n> key=<k> events=<n> mark=<crc>` — the marker
+/// comment written immediately before each segment chunk, in the same
+/// `write(2)`. The `mark` CRC (of the text between `# batch ` and
+/// ` mark=`) makes the marker self-checking: a torn or damaged marker is
+/// indistinguishable from an ordinary comment and is ignored.
+fn encode_marker(buf: &mut Vec<u8>, seq: u64, key: Option<&str>, events: u64) {
+    buf.extend_from_slice(b"# batch ");
+    let body = buf.len();
+    buf.extend_from_slice(b"seq=");
+    push_decimal(buf, seq);
+    buf.extend_from_slice(b" key=");
+    buf.extend_from_slice(key.unwrap_or("-").as_bytes());
+    buf.extend_from_slice(b" events=");
+    push_decimal(buf, events);
+    let mark = crc32(&buf[body..]);
+    buf.extend_from_slice(b" mark=");
+    push_hex8(buf, mark);
+    buf.push(b'\n');
 }
 
 /// Parse a trimmed comment line as a batch marker; `None` when it is an
@@ -442,7 +453,7 @@ fn scan_stream(path: &Path, keep_payload: bool) -> Result<StreamScan, WalError> 
         scan.failure = Some((lineno, failure));
     }
     scan.file_len = pos;
-    scan.totals = framer.totals().clone();
+    scan.totals = *framer.totals();
     Ok(scan)
 }
 
@@ -736,11 +747,13 @@ fn fsync_dir(dir: &Path) {
     let _ = dir;
 }
 
-/// A batch serialised for the trace, awaiting its WAL fsync before it may
-/// be applied.
+/// A batch's segment record, awaiting its WAL fsync before its chunk
+/// (`record[chunk..]`, the record without its marker) may be applied to
+/// the trace.
 struct PendingApply {
     seq: u64,
-    bytes: Vec<u8>,
+    record: Vec<u8>,
+    chunk: usize,
 }
 
 struct Inner {
@@ -759,12 +772,14 @@ struct Inner {
     last_time: u64,
     sealed: bool,
     pending: VecDeque<PendingApply>,
-    idem: HashMap<String, (u64, u64)>,
-    idem_order: VecDeque<String>,
+    /// The idempotency window: `(seq, events)` per key, and the keys in
+    /// the order they leave it. Both share each key's one allocation.
+    idem: HashMap<Arc<str>, (u64, u64)>,
+    idem_order: VecDeque<Arc<str>>,
 }
 
 impl Inner {
-    fn remember_key(&mut self, key: String, seq: u64, events: u64, window: usize) {
+    fn remember_key(&mut self, key: &str, seq: u64, events: u64, window: usize) {
         if window == 0 {
             return;
         }
@@ -773,7 +788,8 @@ impl Inner {
                 self.idem.remove(&old);
             }
         }
-        self.idem.insert(key.clone(), (seq, events));
+        let key: Arc<str> = Arc::from(key);
+        self.idem.insert(Arc::clone(&key), (seq, events));
         self.idem_order.push_back(key);
     }
 
@@ -786,8 +802,9 @@ impl Inner {
                 break;
             }
             let p = self.pending.pop_front().unwrap();
-            self.trace.write_all(&p.bytes)?;
-            self.trace_len += p.bytes.len() as u64;
+            let chunk = &p.record[p.chunk..];
+            self.trace.write_all(chunk)?;
+            self.trace_len += chunk.len() as u64;
             self.applied_seq = p.seq;
             wrote = true;
         }
@@ -893,7 +910,7 @@ impl Wal {
         let seqs: Vec<u64> = batches.iter().map(|b| b.seq).collect();
         let (side_seq, applied_seq) =
             reconcile(trace_path, dir, read_sidecar(dir)?, &tscan, &seqs)?;
-        let mut trace_totals = tscan.totals.clone();
+        let mut trace_totals = tscan.totals;
         let (mut node_count, mut last_time) = (0, 0);
         for c in &tscan.chunks {
             c.advance(&mut node_count, &mut last_time);
@@ -909,7 +926,7 @@ impl Wal {
             for b in batches.iter().filter(|b| b.seq > applied_seq) {
                 buf.clear();
                 buf.extend_from_slice(&b.chunk.payload);
-                encode_directive(&mut buf, 0, b.chunk.lines as usize, &mut trace_totals)?;
+                trace_totals.add(encode_directive(&mut buf, 0, b.chunk.lines as usize));
                 trace.write_all(&buf)?;
                 trace_len += buf.len() as u64;
                 b.chunk.advance(&mut node_count, &mut last_time);
@@ -961,7 +978,7 @@ impl Wal {
         // -- Idempotency window from retained markers. --------------------
         for b in batches {
             if let Some(key) = b.key {
-                inner.remember_key(key, b.seq, b.chunk.lines, opts.idem_window);
+                inner.remember_key(&key, b.seq, b.chunk.lines, opts.idem_window);
             }
         }
         report.keys_loaded = inner.idem.len();
@@ -1099,28 +1116,31 @@ impl Wal {
             seq = inner.next_seq;
             inner.next_seq += 1;
 
-            // Segment record: marker + payload + directive, one write. The
-            // trace gets the same chunk without the marker; edges are
-            // written with their smaller endpoint first.
-            let mut rec = marker_line(seq, key, events.len() as u64).into_bytes();
+            // Segment record: marker + payload + directive, one write,
+            // into a buffer sized for a typical line per event so that it
+            // is not regrown. The trace gets the same chunk without the
+            // marker (`record[chunk..]`); edges are written with their
+            // smaller endpoint first. The chunk is checksummed once, for
+            // both footers' running totals.
+            let mut record = Vec::with_capacity(128 + 32 * events.len());
+            encode_marker(&mut record, seq, key, events.len() as u64);
+            let chunk = record.len();
             let lines = events.iter().map(|e| match e.kind {
                 WalEventKind::Edge(u, v) => WalEvent::edge(e.time, u.min(v), u.max(v)),
                 WalEventKind::Node(_) => *e,
             });
-            let mut seg_totals = inner.seg_totals.clone();
-            let payload = encode_chunk(&mut rec, lines, &mut seg_totals)?;
-            inner.seg.write_all(&rec)?;
+            let sum = encode_chunk(&mut record, lines);
+            inner.seg.write_all(&record)?;
             inner.seg.flush()?;
-            inner.seg_bytes += rec.len() as u64;
-            inner.seg_totals = seg_totals;
-            inner.trace_totals.add(&rec[payload.clone()], events.len());
-            let chunk = rec.split_off(payload.start);
+            inner.seg_bytes += record.len() as u64;
+            inner.seg_totals.add(sum);
+            inner.trace_totals.add(sum);
             inner.node_count = nodes;
             inner.last_time = running;
-            inner.pending.push_back(PendingApply { seq, bytes: chunk });
+            inner.pending.push_back(PendingApply { seq, record, chunk });
             if let Some(k) = key {
                 let window = self.opts.idem_window;
-                inner.remember_key(k.to_string(), seq, events.len() as u64, window);
+                inner.remember_key(k, seq, events.len() as u64, window);
             }
             self.written_seq.store(seq, Ordering::Release);
             self.appends.fetch_add(1, Ordering::Relaxed);
@@ -1205,7 +1225,7 @@ impl Wal {
         inner.trace.sync_data()?;
         self.mark_synced(upto);
         let mut footer = Vec::new();
-        encode_footer(&mut footer, &inner.seg_totals)?;
+        encode_footer(&mut footer, &inner.seg_totals);
         inner.seg.write_all(&footer)?;
         inner.seg.sync_data()?;
         inner.seg_index += 1;
@@ -1274,11 +1294,11 @@ impl Wal {
         let upto = self.written_seq.load(Ordering::Acquire);
         inner.apply_pending(upto)?;
         let mut footer = Vec::new();
-        encode_footer(&mut footer, &inner.seg_totals)?;
+        encode_footer(&mut footer, &inner.seg_totals);
         inner.seg.write_all(&footer)?;
         inner.seg.sync_data()?;
         footer.clear();
-        encode_footer(&mut footer, &inner.trace_totals)?;
+        encode_footer(&mut footer, &inner.trace_totals);
         inner.trace.write_all(&footer)?;
         inner.trace.flush()?;
         inner.trace.sync_data()?;
@@ -1665,12 +1685,29 @@ mod tests {
         assert!(report.tail_pending());
     }
 
+    fn marker_line(seq: u64, key: Option<&str>, events: u64) -> String {
+        let mut buf = Vec::new();
+        encode_marker(&mut buf, seq, key, events);
+        String::from_utf8(buf).unwrap()
+    }
+
     #[test]
     fn marker_roundtrip_and_damage_detection() {
         let m = marker_line(7, Some("abc-123"), 42);
+        // The spelling every segment written so far carries.
+        let body = "seq=7 key=abc-123 events=42";
+        let want = format!("# batch {body} mark={:08x}\n", crc32(body.as_bytes()));
+        assert_eq!(m, want);
         let t = m.trim();
         assert_eq!(parse_marker(t), Some((7, Some("abc-123".to_string()), 42)));
         let m2 = marker_line(9, None, 1);
+        assert_eq!(
+            m2,
+            format!(
+                "# batch seq=9 key=- events=1 mark={:08x}\n",
+                crc32(b"seq=9 key=- events=1")
+            )
+        );
         assert_eq!(parse_marker(m2.trim()), Some((9, None, 1)));
         // Any flipped byte kills the mark CRC → treated as plain comment.
         let damaged = t.replace("seq=7", "seq=8");

@@ -14,6 +14,7 @@
 //! so a kept-alive connection gets a fresh header window for every
 //! request but can never stretch a single head beyond one window.
 
+use osn_graph::io::push_decimal;
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -715,20 +716,6 @@ fn encode_response(out: &mut Vec<u8>, resp: &Response, close: bool) {
     }
     out.extend_from_slice(b"\r\n");
     out.extend_from_slice(body);
-}
-
-fn push_decimal(out: &mut Vec<u8>, mut n: u64) {
-    let mut digits = [0u8; 20];
-    let mut i = digits.len();
-    loop {
-        i -= 1;
-        digits[i] = b'0' + (n % 10) as u8;
-        n /= 10;
-        if n == 0 {
-            break;
-        }
-    }
-    out.extend_from_slice(&digits[i..]);
 }
 
 /// Pre-serialised 503 for the accept path: while a shard loop already

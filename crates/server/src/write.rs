@@ -99,9 +99,9 @@ impl TokenBucket {
 }
 
 /// Runtime state of the write plane: the static config plus one rate
-/// bucket per token (the token set is fixed at startup, so the map only
-/// ever holds configured tokens — an attacker guessing tokens cannot
-/// grow it).
+/// bucket per token. The token set is fixed at startup and every bucket
+/// is made then, full, so admission looks buckets up by `&str` without
+/// allocating, and an attacker guessing tokens cannot grow the map.
 #[derive(Debug)]
 pub struct WriteState {
     cfg: WritePlaneConfig,
@@ -110,9 +110,15 @@ pub struct WriteState {
 
 impl WriteState {
     pub fn new(cfg: WritePlaneConfig) -> WriteState {
+        let now = Instant::now();
+        let full = TokenBucket {
+            tokens: cfg.rate_burst,
+            last: now,
+        };
+        let buckets = (cfg.tokens.iter()).map(|t| (t.clone(), full)).collect();
         WriteState {
             cfg,
-            buckets: Mutex::new(HashMap::new()),
+            buckets: Mutex::new(buckets),
         }
     }
 
@@ -148,10 +154,9 @@ impl WriteState {
         {
             let now = Instant::now();
             let mut buckets = self.buckets.lock().unwrap();
-            let bucket = buckets.entry(token.to_string()).or_insert(TokenBucket {
-                tokens: self.cfg.rate_burst,
-                last: now,
-            });
+            let bucket = buckets
+                .get_mut(token)
+                .expect("authorized tokens have buckets");
             if !bucket.take(self.cfg.rate_limit, self.cfg.rate_burst, now) {
                 let mut r = Response::text(429, "write rate budget exhausted\n");
                 r.retry_after = Some(bucket.retry_after(self.cfg.rate_limit));
@@ -307,30 +312,37 @@ fn wal_error_response(err: &WalError) -> Handled {
     }
 }
 
-/// Parse a request body into WAL events. CSV is the default; a JSON
-/// content type switches to the `{"events":[...]}` document form.
+/// Parse a request body into WAL events. CSV is the default, parsed in
+/// place line by line; a JSON content type switches to the
+/// `{"events":[...]}` document form, whose strings are unescaped first.
 pub fn parse_events(head: &RequestHead, body: &[u8]) -> Result<Vec<WalEvent>, String> {
     let text = std::str::from_utf8(body).map_err(|_| "body is not valid UTF-8".to_string())?;
-    let lines: Vec<String> = if head
+    let events = if head
         .content_type
         .as_deref()
         .is_some_and(|ct| ct.contains("json"))
     {
-        parse_json_events(text)?
+        parse_lines(parse_json_events(text)?.iter().map(String::as_str))?
     } else {
-        text.lines().map(str::to_string).collect()
+        parse_lines(text.lines())?
     };
+    if events.is_empty() {
+        return Err("batch contains no events".to_string());
+    }
+    Ok(events)
+}
+
+/// Parse event lines, skipping blank and `#` lines; an error names the
+/// failing line's 1-based position among all of them.
+fn parse_lines<'a>(lines: impl Iterator<Item = &'a str>) -> Result<Vec<WalEvent>, String> {
     let mut events = Vec::new();
-    for (i, line) in lines.iter().enumerate() {
+    for (i, line) in lines.enumerate() {
         let line = line.trim();
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
         let ev = WalEvent::parse_line(line).map_err(|e| format!("event {}: {e}", i + 1))?;
         events.push(ev);
-    }
-    if events.is_empty() {
-        return Err("batch contains no events".to_string());
     }
     Ok(events)
 }
