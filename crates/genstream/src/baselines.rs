@@ -19,6 +19,7 @@
 //! uniformly over a configurable number of days, so every analysis in
 //! `osn-core` runs on them unchanged.
 
+use crate::growing::GrowingGraph;
 use osn_graph::{EventLog, EventLogBuilder, NodeId, Origin, Time, SECONDS_PER_DAY};
 use osn_stats::sampling::rng_from_seed;
 use rand::Rng;
@@ -119,7 +120,7 @@ pub fn mixed_attachment(cfg: &BaselineConfig, uniform_share: f64) -> EventLog {
 pub fn forest_fire(cfg: &BaselineConfig, forward_prob: f64) -> EventLog {
     let p = forward_prob.clamp(0.0, 0.95);
     let mut rng = rng_from_seed(cfg.seed);
-    let mut b = EventLogBuilder::with_capacity(cfg.nodes as usize, cfg.nodes as usize * 8);
+    let mut b = GrowingGraph::with_capacity(cfg.nodes as usize, cfg.nodes as usize * 8);
     // two seed nodes with one edge
     let n0 = b
         .add_node(arrival_time(cfg, 0), Origin::Core)
@@ -160,13 +161,13 @@ pub fn forest_fire(cfg: &BaselineConfig, forward_prob: f64) -> EventLog {
             if spread == 0 {
                 continue;
             }
-            let neigh = b.neighbors(NodeId(v)).to_vec();
+            let deg = b.degree(NodeId(v));
             let mut picked = 0usize;
-            for _ in 0..neigh.len().min(spread * 4) {
+            for _ in 0..deg.min(spread * 4) {
                 if picked >= spread {
                     break;
                 }
-                let w = neigh[rng.gen_range(0..neigh.len())];
+                let w = b.neighbor(NodeId(v), rng.gen_range(0..deg));
                 if burned[w as usize] != i {
                     burned[w as usize] = i;
                     queue.push_back(w);

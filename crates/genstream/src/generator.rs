@@ -7,9 +7,10 @@
 
 use crate::attachment::{mixture_weights, Pool};
 use crate::config::TraceConfig;
+use crate::growing::GrowingGraph;
 use crate::growth::GrowthSchedule;
 use crate::lifecycle::NodeState;
-use osn_graph::{EventLog, EventLogBuilder, NodeId, Origin, Time, SECONDS_PER_DAY};
+use osn_graph::{EventLog, NodeId, Origin, Time, SECONDS_PER_DAY};
 use osn_stats::distribution::Pareto;
 use osn_stats::sampling::{derive_seed, rng_from_seed};
 use rand::rngs::SmallRng;
@@ -55,7 +56,7 @@ pub struct TraceGenerator {
 struct Sim {
     cfg: TraceConfig,
     rng: SmallRng,
-    builder: EventLogBuilder,
+    builder: GrowingGraph,
     states: Vec<NodeState>,
     origins: Vec<Origin>,
     core: Pool,
@@ -130,7 +131,7 @@ impl TraceGenerator {
 
         let mut sim = Sim {
             rng: rng_from_seed(derive_seed(cfg.seed, 3)),
-            builder: EventLogBuilder::with_capacity(total_hint, total_hint * 16),
+            builder: GrowingGraph::with_capacity(total_hint, total_hint * 16),
             states: Vec::with_capacity(total_hint),
             origins: Vec::with_capacity(total_hint),
             core: Pool::new(),
@@ -485,16 +486,20 @@ impl Sim {
     /// Friend-of-friend candidate (few retries, validated).
     fn pick_triadic(&mut self, node: u32) -> Option<u32> {
         for _ in 0..8 {
-            let neigh = self.builder.neighbors(NodeId(node));
-            if neigh.is_empty() {
+            let deg = self.builder.degree(NodeId(node));
+            if deg == 0 {
                 return None;
             }
-            let v = neigh[self.rng.gen_range(0..neigh.len())];
-            let second = self.builder.neighbors(NodeId(v));
-            if second.is_empty() {
+            let v = self
+                .builder
+                .neighbor(NodeId(node), self.rng.gen_range(0..deg));
+            let second = self.builder.degree(NodeId(v));
+            if second == 0 {
                 continue;
             }
-            let w = second[self.rng.gen_range(0..second.len())];
+            let w = self
+                .builder
+                .neighbor(NodeId(v), self.rng.gen_range(0..second));
             if w != node && self.valid_target(node, w) {
                 return Some(w);
             }

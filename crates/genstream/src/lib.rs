@@ -29,6 +29,7 @@ pub mod attachment;
 pub mod baselines;
 pub mod config;
 pub mod generator;
+mod growing;
 pub mod growth;
 pub mod lifecycle;
 

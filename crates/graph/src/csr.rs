@@ -22,11 +22,20 @@ impl CsrGraph {
     /// Sortedness is a precondition (debug-asserted): membership queries
     /// use binary search.
     pub fn from_sorted_adjacency(adj: &[Vec<u32>], taken_at: Time) -> Self {
-        let mut offsets = Vec::with_capacity(adj.len() + 1);
-        let total: usize = adj.iter().map(|l| l.len()).sum();
+        let total = adj.iter().map(Vec::len).sum();
+        Self::from_sorted_lists(adj.iter().map(Vec::as_slice), total, taken_at)
+    }
+
+    /// Build from per-node sorted lists holding `total` entries in all.
+    pub(crate) fn from_sorted_lists<'a>(
+        lists: impl ExactSizeIterator<Item = &'a [u32]>,
+        total: usize,
+        taken_at: Time,
+    ) -> Self {
+        let mut offsets = Vec::with_capacity(lists.len() + 1);
         let mut targets = Vec::with_capacity(total);
         offsets.push(0u64);
-        for list in adj {
+        for list in lists {
             debug_assert!(
                 list.windows(2).all(|w| w[0] < w[1]),
                 "adjacency must be sorted"

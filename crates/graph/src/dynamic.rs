@@ -6,8 +6,13 @@
 //! [`crate::csr::CsrGraph`] whenever a read-optimised snapshot is
 //! needed.
 //!
-//! Neighbour lists are kept sorted so that membership checks are
-//! `O(log deg)` and CSR freezing is a straight copy.
+//! Neighbour lists are kept sorted, so membership checks are `O(log deg)`
+//! and freezing copies each list as it stands. All lists share one buffer.
+//! Built from a log's final degrees ([`DynamicGraph::with_degrees`], as
+//! the replayer does), each node gets exactly its room when it arrives,
+//! so a replay never reallocates or copies a list. A list that outgrows
+//! its room moves to the end of the buffer, which is also how a graph
+//! built without degrees grows.
 
 use crate::csr::CsrGraph;
 use crate::event::{Event, EventKind, Origin};
@@ -101,10 +106,23 @@ pub struct NoDelta;
 
 impl DeltaObserver for NoDelta {}
 
+/// Where one node's neighbour list lives in [`DynamicGraph`]'s buffer:
+/// `lists[start..start + len]`, with room for `room` entries.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    start: usize,
+    len: u32,
+    room: u32,
+}
+
 /// Mutable dynamic graph with per-node metadata.
 #[derive(Debug, Clone, Default)]
 pub struct DynamicGraph {
-    adj: Vec<Vec<u32>>,
+    /// Every node's sorted neighbour list, each in its slot.
+    lists: Vec<u32>,
+    slots: Vec<Slot>,
+    /// `room[i]`: the room node `i`'s slot gets when it arrives.
+    room: Vec<u32>,
     origins: Vec<Origin>,
     join_times: Vec<Time>,
     num_edges: u64,
@@ -117,12 +135,18 @@ impl DynamicGraph {
         Self::default()
     }
 
-    /// Create an empty graph with a node-capacity hint.
-    pub fn with_capacity(nodes: usize) -> Self {
+    /// Create an empty graph that gives node `i` room for `degrees[i]`
+    /// neighbours (none past the end of `degrees`). With a log's final
+    /// degrees ([`EventLog::degrees`](crate::log::EventLog::degrees)) the
+    /// buffer is allocated once and no list ever moves.
+    pub fn with_degrees(degrees: &[u32]) -> Self {
+        let total = degrees.iter().map(|&d| d as usize).sum();
         DynamicGraph {
-            adj: Vec::with_capacity(nodes),
-            origins: Vec::with_capacity(nodes),
-            join_times: Vec::with_capacity(nodes),
+            lists: Vec::with_capacity(total),
+            slots: Vec::with_capacity(degrees.len()),
+            room: degrees.to_vec(),
+            origins: Vec::with_capacity(degrees.len()),
+            join_times: Vec::with_capacity(degrees.len()),
             num_edges: 0,
             now: Time::ZERO,
         }
@@ -130,7 +154,7 @@ impl DynamicGraph {
 
     /// Number of nodes currently in the graph.
     pub fn num_nodes(&self) -> usize {
-        self.adj.len()
+        self.slots.len()
     }
 
     /// Number of undirected edges currently in the graph.
@@ -145,7 +169,7 @@ impl DynamicGraph {
 
     /// Degree of a node (0 for ids not yet added).
     pub fn degree(&self, node: NodeId) -> usize {
-        self.adj.get(node.index()).map_or(0, |v| v.len())
+        self.slots.get(node.index()).map_or(0, |s| s.len as usize)
     }
 
     /// Sorted neighbour list of a node.
@@ -153,7 +177,11 @@ impl DynamicGraph {
     /// # Panics
     /// Panics if `node` is out of range.
     pub fn neighbors(&self, node: NodeId) -> &[u32] {
-        &self.adj[node.index()]
+        self.list(self.slots[node.index()])
+    }
+
+    fn list(&self, slot: Slot) -> &[u32] {
+        &self.lists[slot.start..slot.start + slot.len as usize]
     }
 
     /// Origin network of a node.
@@ -174,10 +202,9 @@ impl DynamicGraph {
 
     /// True if the undirected edge `a-b` exists.
     pub fn has_edge(&self, a: NodeId, b: NodeId) -> bool {
-        match self.adj.get(a.index()) {
-            Some(list) => list.binary_search(&b.0).is_ok(),
-            None => false,
-        }
+        self.slots
+            .get(a.index())
+            .is_some_and(|&s| self.list(s).binary_search(&b.0).is_ok())
     }
 
     /// Apply one event.
@@ -201,14 +228,21 @@ impl DynamicGraph {
     ) -> Result<(), ApplyError> {
         match event.kind {
             EventKind::AddNode { node, origin } => {
-                if node.index() != self.adj.len() {
+                if node.index() != self.slots.len() {
                     return Err(ApplyError::NonDenseNode {
                         node,
-                        expected: self.adj.len() as u32,
+                        expected: self.slots.len() as u32,
                     });
                 }
                 obs.node_added(self, node, origin, event.time);
-                self.adj.push(Vec::new());
+                let room = self.room.get(node.index()).copied().unwrap_or(0);
+                let start = self.lists.len();
+                self.lists.resize(start + room as usize, 0);
+                self.slots.push(Slot {
+                    start,
+                    len: 0,
+                    room,
+                });
                 self.origins.push(origin);
                 self.join_times.push(event.time);
             }
@@ -216,26 +250,27 @@ impl DynamicGraph {
                 // Validate everything before touching either list so a
                 // rejected event never leaves a half-inserted edge behind.
                 for node in [u, v] {
-                    if node.index() >= self.adj.len() {
+                    if node.index() >= self.slots.len() {
                         return Err(ApplyError::UnknownEndpoint {
                             node,
-                            num_nodes: self.adj.len(),
+                            num_nodes: self.slots.len(),
                         });
                     }
                 }
                 if u == v {
                     return Err(ApplyError::SelfLoop { node: u });
                 }
-                let pos_u = match self.adj[u.index()].binary_search(&v.0) {
+                let pos_u = match self.neighbors(u).binary_search(&v.0) {
                     Err(pos) => pos,
                     Ok(_) => return Err(ApplyError::DuplicateEdge { u, v }),
                 };
                 obs.edge_added(self, u, v);
-                self.adj[u.index()].insert(pos_u, v.0);
-                let pos_v = self.adj[v.index()]
+                self.insert(u, pos_u, v.0);
+                let pos_v = self
+                    .neighbors(v)
                     .binary_search(&u.0)
                     .expect_err("u-side insert implies v-side absence");
-                self.adj[v.index()].insert(pos_v, u.0);
+                self.insert(v, pos_v, u.0);
                 self.num_edges += 1;
             }
         }
@@ -243,17 +278,42 @@ impl DynamicGraph {
         Ok(())
     }
 
+    /// Insert `x` at `pos` of `node`'s list. A full list first grows in
+    /// place when it ends the buffer, and otherwise moves to the end.
+    fn insert(&mut self, node: NodeId, pos: usize, x: u32) {
+        let slot = &mut self.slots[node.index()];
+        if slot.len == slot.room {
+            let end = self.lists.len();
+            if slot.start + slot.room as usize != end {
+                self.lists
+                    .extend_from_within(slot.start..slot.start + slot.len as usize);
+                slot.start = end;
+            }
+            slot.room = slot.room.saturating_mul(2).max(4);
+            self.lists.resize(slot.start + slot.room as usize, 0);
+        }
+        let len = slot.len as usize;
+        let list = &mut self.lists[slot.start..=slot.start + len];
+        list.copy_within(pos..len, pos + 1);
+        list[pos] = x;
+        slot.len += 1;
+    }
+
     /// Freeze the current state into a read-optimised CSR snapshot.
     pub fn freeze(&self) -> CsrGraph {
-        CsrGraph::from_sorted_adjacency(&self.adj, self.now)
+        CsrGraph::from_sorted_lists(
+            self.slots.iter().map(|&s| self.list(s)),
+            2 * self.num_edges as usize,
+            self.now,
+        )
     }
 
     /// Average degree `2E / N` (0 for an empty graph).
     pub fn average_degree(&self) -> f64 {
-        if self.adj.is_empty() {
+        if self.slots.is_empty() {
             0.0
         } else {
-            2.0 * self.num_edges as f64 / self.adj.len() as f64
+            2.0 * self.num_edges as f64 / self.slots.len() as f64
         }
     }
 }

@@ -482,9 +482,13 @@ impl WalEvent {
     }
 
     /// Parse one `N`/`E` payload line (the same grammar, and the same
-    /// parser, the trace readers use).
+    /// parser, the trace readers use). An error is the reason alone, for
+    /// the caller to place: only it knows where the line sat.
     pub fn parse_line(line: &str) -> Result<WalEvent, String> {
-        parse_payload(line.as_bytes(), 1).map_err(|e| e.to_string())
+        parse_payload(line.as_bytes(), 0).map_err(|e| match e {
+            ParseError::Malformed { reason, .. } => reason,
+            other => other.to_string(),
+        })
     }
 }
 

@@ -83,6 +83,8 @@ pub struct EventLog {
     origins: Vec<Origin>,
     /// `join_times[i]` is the creation time of `NodeId(i)`.
     join_times: Vec<Time>,
+    /// `degrees[i]` is the degree of `NodeId(i)` once every event is in.
+    degrees: Vec<u32>,
 }
 
 impl EventLog {
@@ -135,6 +137,13 @@ impl EventLog {
     /// Per-node join times, indexed by node id.
     pub fn join_times(&self) -> &[Time] {
         &self.join_times
+    }
+
+    /// Per-node degrees after the last event, indexed by node id: how much
+    /// room [`Replayer`](crate::snapshots::Replayer) gives each neighbour
+    /// list.
+    pub fn degrees(&self) -> &[u32] {
+        &self.degrees
     }
 
     /// Index of the first event with `time >= t` (binary search).
@@ -204,15 +213,19 @@ impl EventLog {
 
 /// Incremental builder enforcing [`EventLog`]'s invariants.
 ///
-/// Duplicate-edge detection uses a per-node sorted neighbour list, which
-/// keeps the builder allocation-friendly for multi-million-edge traces.
+/// Duplicate edges are caught against one sorted list per node that holds
+/// only its smaller-id neighbours, so each edge is stored once, at its
+/// larger endpoint: one binary search and one insert per edge. Nodes
+/// arrive in id order, so these lists tend to stay short: a hub's later
+/// neighbours land in the newer nodes' lists, not in its own.
 #[derive(Debug, Default)]
 pub struct EventLogBuilder {
     events: Vec<Event>,
     origins: Vec<Origin>,
     join_times: Vec<Time>,
-    /// Sorted adjacency used only for duplicate detection.
-    adj: Vec<Vec<u32>>,
+    /// `lower[v]`: the sorted neighbours of `v` with ids below `v`.
+    lower: Vec<Vec<u32>>,
+    degrees: Vec<u32>,
     num_edges: u64,
     last_time: Time,
 }
@@ -229,7 +242,8 @@ impl EventLogBuilder {
             events: Vec::with_capacity(nodes + edges),
             origins: Vec::with_capacity(nodes),
             join_times: Vec::with_capacity(nodes),
-            adj: Vec::with_capacity(nodes),
+            lower: Vec::with_capacity(nodes),
+            degrees: Vec::with_capacity(nodes),
             num_edges: 0,
             last_time: Time::ZERO,
         }
@@ -252,7 +266,8 @@ impl EventLogBuilder {
         let id = NodeId(self.origins.len() as u32);
         self.origins.push(origin);
         self.join_times.push(time);
-        self.adj.push(Vec::new());
+        self.lower.push(Vec::new());
+        self.degrees.push(0);
         self.events.push(Event::node(time, id, origin));
         Ok(id)
     }
@@ -270,19 +285,13 @@ impl EventLogBuilder {
             return Err(LogError::SelfLoop { node: a });
         }
         let (u, v) = if a.0 < b.0 { (a, b) } else { (b, a) };
-        // Duplicate check against the smaller-degree endpoint's list.
-        let (probe, other) = if self.adj[u.index()].len() <= self.adj[v.index()].len() {
-            (u, v)
-        } else {
-            (v, u)
-        };
-        if self.adj[probe.index()].binary_search(&other.0).is_ok() {
-            return Err(LogError::DuplicateEdge { u, v });
+        let list = &mut self.lower[v.index()];
+        match list.binary_search(&u.0) {
+            Ok(_) => return Err(LogError::DuplicateEdge { u, v }),
+            Err(pos) => list.insert(pos, u.0),
         }
-        let pos = self.adj[u.index()].binary_search(&v.0).unwrap_err();
-        self.adj[u.index()].insert(pos, v.0);
-        let pos = self.adj[v.index()].binary_search(&u.0).unwrap_err();
-        self.adj[v.index()].insert(pos, u.0);
+        self.degrees[u.index()] += 1;
+        self.degrees[v.index()] += 1;
         self.num_edges += 1;
         self.events.push(Event::edge(time, u, v));
         Ok(())
@@ -290,28 +299,23 @@ impl EventLogBuilder {
 
     /// True if the undirected edge `a-b` has already been added.
     pub fn has_edge(&self, a: NodeId, b: NodeId) -> bool {
-        if a.index() >= self.adj.len() || b.index() >= self.adj.len() {
-            return false;
-        }
-        let (probe, other) = if self.adj[a.index()].len() <= self.adj[b.index()].len() {
-            (a, b)
-        } else {
-            (b, a)
-        };
-        self.adj[probe.index()].binary_search(&other.0).is_ok()
+        let (u, v) = if a.0 < b.0 { (a, b) } else { (b, a) };
+        self.lower
+            .get(v.index())
+            .is_some_and(|list| list.binary_search(&u.0).is_ok())
     }
 
     /// Current degree of a node (0 for unknown ids).
     pub fn degree(&self, node: NodeId) -> usize {
-        self.adj.get(node.index()).map_or(0, |v| v.len())
+        self.degrees.get(node.index()).map_or(0, |&d| d as usize)
     }
 
-    /// Current sorted neighbour list of a node (empty for unknown ids).
-    ///
-    /// Exposed so trace generators can implement triadic closure
-    /// (friend-of-friend attachment) against the graph built so far.
-    pub fn neighbors(&self, node: NodeId) -> &[u32] {
-        self.adj.get(node.index()).map_or(&[], |v| v.as_slice())
+    /// The sorted neighbours of `node` whose ids are below its own (empty
+    /// for unknown ids). A generator that keeps the larger-id half itself
+    /// has each node's whole sorted list as this half followed by that
+    /// one.
+    pub fn smaller_neighbors(&self, node: NodeId) -> &[u32] {
+        self.lower.get(node.index()).map_or(&[], |v| v.as_slice())
     }
 
     fn check_time(&mut self, time: Time) -> Result<(), LogError> {
@@ -334,6 +338,7 @@ impl EventLogBuilder {
             events: self.events,
             origins: self.origins,
             join_times: self.join_times,
+            degrees: self.degrees,
         }
     }
 }
@@ -453,5 +458,8 @@ mod tests {
         assert_eq!(b.degree(a), 2);
         assert_eq!(b.degree(c), 1);
         assert_eq!(b.degree(NodeId(99)), 0);
+        assert_eq!(b.smaller_neighbors(d), &[0]);
+        assert!(b.smaller_neighbors(a).is_empty());
+        assert_eq!(b.build().degrees(), &[2, 1, 1]);
     }
 }

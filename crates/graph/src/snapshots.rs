@@ -134,11 +134,13 @@ pub struct Replayer<'a> {
 }
 
 impl<'a> Replayer<'a> {
-    /// Start a replay at the beginning of the log.
+    /// Start a replay at the beginning of the log. The graph gives each
+    /// neighbour list the room of the log's final degree, so no list
+    /// moves during the replay.
     pub fn new(log: &'a EventLog) -> Self {
         Replayer {
             log,
-            graph: DynamicGraph::with_capacity(log.num_nodes() as usize),
+            graph: DynamicGraph::with_degrees(log.degrees()),
             pos: 0,
         }
     }

@@ -84,7 +84,7 @@ fn random_edges(seed: u64, n: usize, shape: u8, isolation: usize) -> Vec<(u32, u
 
 /// The same graph as the live engine holds it.
 fn dynamic(n: usize, edges: &[(u32, u32)]) -> DynamicGraph {
-    let mut g = DynamicGraph::with_capacity(n);
+    let mut g = DynamicGraph::new();
     for u in 0..n as u32 {
         g.apply(&Event::node(Time::ZERO, NodeId(u), Origin::Core))
             .expect("dense node ids");

@@ -533,6 +533,27 @@ mod tests {
     }
 
     #[test]
+    fn a_bad_line_is_named_once_by_its_place_in_the_body() {
+        let head = post_head(None);
+        assert_eq!(
+            parse_events(&head, b"N 0 core\nN 5 core\nE x 0 1\n").unwrap_err(),
+            "event 3: bad timestamp"
+        );
+        // Blank and `#` lines count towards the place.
+        assert_eq!(
+            parse_events(&head, b"# batch 7\nN 0 core\n\nE 5 0 one\n").unwrap_err(),
+            "event 4: bad endpoint v"
+        );
+        let mut jhead = post_head(None);
+        jhead.content_type = Some("application/json".to_string());
+        let json = br#"{"events": ["N 0 core", "N 1 nowhere"]}"#;
+        assert_eq!(
+            parse_events(&jhead, json).unwrap_err(),
+            "event 2: unknown origin 'nowhere'"
+        );
+    }
+
+    #[test]
     fn wal_errors_map_to_the_documented_statuses() {
         let h = wal_error_response(&WalError::OutOfOrder { time: 1, last: 5 });
         assert_eq!(h.response.status, 409);
