@@ -1,5 +1,6 @@
 //! The graph a generator samples from while it builds a log.
 
+use osn_graph::dynamic::insert_from_end;
 use osn_graph::{EventLog, EventLogBuilder, LogError, NodeId, Origin, Time};
 
 /// An [`EventLogBuilder`] plus the half of the adjacency the builder does
@@ -31,8 +32,11 @@ impl GrowingGraph {
     pub(crate) fn add_edge(&mut self, time: Time, a: NodeId, b: NodeId) -> Result<(), LogError> {
         self.builder.add_edge(time, a, b)?;
         let (u, v) = if a.0 < b.0 { (a, b) } else { (b, a) };
+        // Edges mostly reach newer nodes, so an insert here is often an
+        // append.
         let list = &mut self.upper[u.index()];
-        list.insert(list.partition_point(|&w| w < v.0), v.0);
+        list.push(v.0);
+        insert_from_end(list, v.0);
         Ok(())
     }
 
@@ -84,5 +88,65 @@ mod tests {
         let list: Vec<u32> = (0..g.degree(hub)).map(|i| g.neighbor(hub, i)).collect();
         assert_eq!(list, [0, 1, 3, 4]);
         assert!(g.has_edge(NodeId(4), hub) && !g.has_edge(NodeId(0), NodeId(1)));
+    }
+
+    /// Add `edges` in order; after each, both endpoints' lists read as
+    /// per-node sorted vectors hold them, and so does every list at the end.
+    fn grows_like_sorted_vectors(nodes: u32, edges: impl IntoIterator<Item = (u32, u32)>) {
+        let mut g = GrowingGraph::with_capacity(nodes as usize, 0);
+        for _ in 0..nodes {
+            g.add_node(Time::ZERO, Origin::Core).unwrap();
+        }
+        let mut oracle: Vec<Vec<u32>> = vec![Vec::new(); nodes as usize];
+        let list = |g: &GrowingGraph, x: u32| -> Vec<u32> {
+            (0..g.degree(NodeId(x)))
+                .map(|i| g.neighbor(NodeId(x), i))
+                .collect()
+        };
+        for (a, b) in edges {
+            g.add_edge(Time::ZERO, NodeId(a), NodeId(b)).unwrap();
+            for (x, y) in [(a, b), (b, a)] {
+                let sorted = &mut oracle[x as usize];
+                sorted.insert(sorted.partition_point(|&w| w < y), y);
+                assert_eq!(list(&g, x), *sorted, "node {x} after {a}-{b}");
+            }
+        }
+        for x in 0..nodes {
+            assert_eq!(list(&g, x), oracle[x as usize], "node {x}");
+        }
+    }
+
+    #[test]
+    fn lists_hold_when_every_insert_lands_at_the_front() {
+        let n = 48;
+        grows_like_sorted_vectors(
+            n,
+            (0..n)
+                .rev()
+                .flat_map(|a| (a + 1..n).rev().map(move |b| (a, b))),
+        );
+    }
+
+    #[test]
+    fn lists_hold_when_every_insert_is_an_append() {
+        let n = 48;
+        grows_like_sorted_vectors(n, (0..n).flat_map(|a| (a + 1..n).map(move |b| (a, b))));
+    }
+
+    #[test]
+    fn lists_hold_when_one_hub_grows_to_a_thousand_neighbours() {
+        // `friend_cap`: hub 500 meets every other node of 0..=1000, in an
+        // order shuffled by a fixed LCG, so its larger-id half takes
+        // inserts at every place.
+        let hub = 500;
+        let mut others: Vec<u32> = (0..=1000).filter(|&x| x != hub).collect();
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        for i in (1..others.len()).rev() {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1);
+            others.swap(i, (state >> 33) as usize % (i + 1));
+        }
+        grows_like_sorted_vectors(1001, others.into_iter().map(|x| (hub, x)));
     }
 }

@@ -7,7 +7,14 @@
 //! needed.
 //!
 //! Neighbour lists are kept sorted, so membership checks are `O(log deg)`
-//! and freezing copies each list as it stands. All lists share one buffer.
+//! and freezing copies each list as it stands. An insert searches its
+//! list from the end and shifts the larger entries up one place, as
+//! insertion sort does: on the osnbench `analyze` trace 35% of inserts
+//! are appends and 63% land within three places of the end, and the
+//! entries scanned are the ones the insert shifts anyway. A full replay
+//! of that trace took 17.5 ms this way against 21.0 ms with binary
+//! searches (DESIGN.md, *Performance, honestly*). All lists share one
+//! buffer.
 //! Built from a log's final degrees ([`DynamicGraph::with_degrees`], as
 //! the replayer does), each node gets exactly its room when it arrives,
 //! so a replay never reallocates or copies a list. A list that outgrows
@@ -98,6 +105,31 @@ pub trait DeltaObserver {
     fn edge_added(&mut self, graph: &DynamicGraph, u: NodeId, v: NodeId) {
         let _ = (graph, u, v);
     }
+}
+
+/// Whether the sorted `list` holds `x`, searched from the end. The cost is
+/// the number of entries above `x`, which an insert of `x` shifts anyway.
+fn contains_from_end(list: &[u32], x: u32) -> bool {
+    let mut i = list.len();
+    while i > 0 && list[i - 1] > x {
+        i -= 1;
+    }
+    i > 0 && list[i - 1] == x
+}
+
+/// Put `x` into `list`, whose last entry is room and whose other entries
+/// are sorted, by shifting every entry above `x` up one place, as
+/// insertion sort does. An append moves nothing.
+///
+/// # Panics
+/// Panics if `list` is empty.
+pub fn insert_from_end(list: &mut [u32], x: u32) {
+    let mut i = list.len() - 1;
+    while i > 0 && list[i - 1] > x {
+        list[i] = list[i - 1];
+        i -= 1;
+    }
+    list[i] = x;
 }
 
 /// The no-op observer [`DynamicGraph::apply`] uses; compiles away.
@@ -260,17 +292,15 @@ impl DynamicGraph {
                 if u == v {
                     return Err(ApplyError::SelfLoop { node: u });
                 }
-                let pos_u = match self.neighbors(u).binary_search(&v.0) {
-                    Err(pos) => pos,
-                    Ok(_) => return Err(ApplyError::DuplicateEdge { u, v }),
-                };
+                // Most inserts land at or near a list's end, so both lists
+                // are searched from there. The duplicate check only reads
+                // `u`'s list: the observer must see it as it was.
+                if contains_from_end(self.neighbors(u), v.0) {
+                    return Err(ApplyError::DuplicateEdge { u, v });
+                }
                 obs.edge_added(self, u, v);
-                self.insert(u, pos_u, v.0);
-                let pos_v = self
-                    .neighbors(v)
-                    .binary_search(&u.0)
-                    .expect_err("u-side insert implies v-side absence");
-                self.insert(v, pos_v, u.0);
+                insert_from_end(self.grown_list(u), v.0);
+                insert_from_end(self.grown_list(v), u.0);
                 self.num_edges += 1;
             }
         }
@@ -278,9 +308,10 @@ impl DynamicGraph {
         Ok(())
     }
 
-    /// Insert `x` at `pos` of `node`'s list. A full list first grows in
+    /// Lengthen `node`'s list by one entry, whose value is left for the
+    /// caller to settle, and return the list. A full list first grows in
     /// place when it ends the buffer, and otherwise moves to the end.
-    fn insert(&mut self, node: NodeId, pos: usize, x: u32) {
+    fn grown_list(&mut self, node: NodeId) -> &mut [u32] {
         let slot = &mut self.slots[node.index()];
         if slot.len == slot.room {
             let end = self.lists.len();
@@ -292,11 +323,8 @@ impl DynamicGraph {
             slot.room = slot.room.saturating_mul(2).max(4);
             self.lists.resize(slot.start + slot.room as usize, 0);
         }
-        let len = slot.len as usize;
-        let list = &mut self.lists[slot.start..=slot.start + len];
-        list.copy_within(pos..len, pos + 1);
-        list[pos] = x;
         slot.len += 1;
+        &mut self.lists[slot.start..slot.start + slot.len as usize]
     }
 
     /// Freeze the current state into a read-optimised CSR snapshot.

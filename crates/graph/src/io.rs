@@ -1149,6 +1149,20 @@ mod tests {
             .all(|s| matches!(s.reason, SkipReason::Invariant(_))));
     }
 
+    /// A refused event never happened, so it cannot move the clock: the
+    /// lines after a refused edge are checked against the last accepted
+    /// line, not against it.
+    #[test]
+    fn a_refused_edge_leaves_the_clock_alone() {
+        let text = "N 0 core\nN 0 core\nE 500 0 7\nE 100 0 1\nN 200 core\n";
+        let (log, report) =
+            read_log_with_policy(text.as_bytes(), &RecoveryPolicy::Skip { max_errors: 4 }).unwrap();
+        assert_eq!((log.num_nodes(), log.num_edges()), (3, 1));
+        assert_eq!(report.skipped.len(), 1, "{:?}", report.skipped);
+        assert_eq!(report.skipped[0].line, 3);
+        assert_eq!(log.end_time(), Time(200));
+    }
+
     #[test]
     fn repair_reorders_within_window() {
         // The two nodes arrive out of time order; a 10-second window

@@ -8,6 +8,16 @@
 //! 1. events are sorted by time (ties keep insertion order);
 //! 2. node ids are dense and appear before any edge that uses them;
 //! 3. no self-loops and no duplicate edges.
+//!
+//! A refused event changes nothing, the builder's clock included: the
+//! next event is checked against the last accepted one.
+//!
+//! [`EventLog::fingerprint`] is FNV-1a over eight bytes per field, most
+//! of them the zero high bytes of small numbers. It takes each run of
+//! those in the multiply of the byte below it, with the same value as
+//! one multiply per byte: over the 186,551 events of the osnbench
+//! `analyze` trace it took 3.2 ms against 5.4 ms (DESIGN.md,
+//! *Performance, honestly*).
 
 use crate::event::{Event, EventKind, Origin};
 use crate::time::{Day, NodeId, Time};
@@ -160,33 +170,27 @@ impl EventLog {
     }
 
     /// Order-sensitive 64-bit fingerprint of the full event stream
-    /// (FNV-1a over every event's time, kind and payload).
+    /// (FNV-1a over the eight little-endian bytes of every event's time,
+    /// kind and payload).
     ///
     /// Used by checkpoint files to refuse resuming against a different
     /// trace than the one the checkpoint was taken from. Not
     /// cryptographic — it guards against operator mistakes, not
     /// adversaries.
     pub fn fingerprint(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET;
-        let mut mix = |v: u64| {
-            for b in v.to_le_bytes() {
-                h = (h ^ b as u64).wrapping_mul(PRIME);
-            }
-        };
+        let mut h = FNV_OFFSET;
         for e in &self.events {
-            mix(e.time.seconds());
+            h = fnv_word(h, e.time.seconds());
             match e.kind {
                 EventKind::AddNode { node, origin } => {
-                    mix(1);
-                    mix(node.0 as u64);
-                    mix(origin as u64);
+                    h = fnv_word(h, 1);
+                    h = fnv_word(h, node.0 as u64);
+                    h = fnv_word(h, origin as u64);
                 }
                 EventKind::AddEdge { u, v } => {
-                    mix(2);
-                    mix(u.0 as u64);
-                    mix(v.0 as u64);
+                    h = fnv_word(h, 2);
+                    h = fnv_word(h, u.0 as u64);
+                    h = fnv_word(h, v.0 as u64);
                 }
             }
         }
@@ -209,6 +213,34 @@ impl EventLog {
         }
         (nodes, edges)
     }
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// `FNV_PRIME_POW[k]` is `FNV_PRIME^k`, wrapping: what FNV-1a does to the
+/// hash over `k` zero bytes, since `h ^ 0` is `h`.
+const FNV_PRIME_POW: [u64; 9] = {
+    let mut pow = [1u64; 9];
+    let mut k = 1;
+    while k < pow.len() {
+        pow[k] = pow[k - 1].wrapping_mul(FNV_PRIME);
+        k += 1;
+    }
+    pow
+};
+
+/// FNV-1a over the eight little-endian bytes of `word`. Most words here
+/// are small numbers: the run of zero high bytes costs no step of its own,
+/// but folds into the last lower byte's multiply (into the only multiply
+/// when `word` is 0).
+fn fnv_word(mut h: u64, mut word: u64) -> u64 {
+    let bytes = (8 - (word.leading_zeros() / 8) as usize).max(1);
+    for _ in 1..bytes {
+        h = (h ^ (word & 0xFF)).wrapping_mul(FNV_PRIME);
+        word >>= 8;
+    }
+    (h ^ word).wrapping_mul(FNV_PRIME_POW[9 - bytes])
 }
 
 /// Incremental builder enforcing [`EventLog`]'s invariants.
@@ -263,6 +295,7 @@ impl EventLogBuilder {
     /// always `NodeId(n)` where `n` is the number of nodes added before.
     pub fn add_node(&mut self, time: Time, origin: Origin) -> Result<NodeId, LogError> {
         self.check_time(time)?;
+        self.last_time = time;
         let id = NodeId(self.origins.len() as u32);
         self.origins.push(origin);
         self.join_times.push(time);
@@ -293,6 +326,7 @@ impl EventLogBuilder {
         self.degrees[u.index()] += 1;
         self.degrees[v.index()] += 1;
         self.num_edges += 1;
+        self.last_time = time;
         self.events.push(Event::edge(time, u, v));
         Ok(())
     }
@@ -318,7 +352,9 @@ impl EventLogBuilder {
         self.lower.get(node.index()).map_or(&[], |v| v.as_slice())
     }
 
-    fn check_time(&mut self, time: Time) -> Result<(), LogError> {
+    /// Refuse `time` if it is earlier than the last accepted event's. Only
+    /// an accepted event moves the clock: a refused one never happened.
+    fn check_time(&self, time: Time) -> Result<(), LogError> {
         if time < self.last_time {
             return Err(LogError::OutOfOrder {
                 index: self.events.len(),
@@ -326,7 +362,6 @@ impl EventLogBuilder {
                 prev: self.last_time,
             });
         }
-        self.last_time = time;
         Ok(())
     }
 
@@ -346,9 +381,99 @@ impl EventLogBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn t(d: u64) -> Time {
         Time::from_days(d)
+    }
+
+    /// FNV-1a one byte at a time over each word's eight little-endian
+    /// bytes: the spelling `fingerprint` replaced, kept as its oracle.
+    fn fnv_bytewise(mut h: u64, words: &[u64]) -> u64 {
+        for w in words {
+            for b in w.to_le_bytes() {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    fn fingerprint_oracle(log: &EventLog) -> u64 {
+        let words = log.events().iter().flat_map(|e| {
+            let (kind, a, b) = match e.kind {
+                EventKind::AddNode { node, origin } => (1, u64::from(node.0), origin as u64),
+                EventKind::AddEdge { u, v } => (2, u64::from(u.0), u64::from(v.0)),
+            };
+            [e.time.seconds(), kind, a, b]
+        });
+        fnv_bytewise(0xcbf2_9ce4_8422_2325, &words.collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn fnv_word_matches_the_bytewise_oracle_at_every_byte_length() {
+        // 0, 0xFF, 0x100, 0xFFFF, 0x1_0000, …, u64::MAX, and the same
+        // lengths with zero bytes below the top one.
+        let mut words = vec![0];
+        for k in 0..8 {
+            let top = 1u64 << (8 * k);
+            words.extend([top, top | 1, (top << 8).wrapping_sub(1), top * 0x80]);
+        }
+        words.push(u64::MAX);
+        for h in [FNV_OFFSET, 0, u64::MAX, 0x0123_4567_89AB_CDEF] {
+            for &w in &words {
+                assert_eq!(fnv_word(h, w), fnv_bytewise(h, &[w]), "{h:#x} {w:#x}");
+            }
+        }
+    }
+
+    proptest! {
+        /// Random logs, with times past 2^32 s and every origin (`Core` is
+        /// the all-zero word), fingerprint as the bytewise oracle does.
+        #[test]
+        fn fingerprint_matches_the_bytewise_oracle(
+            steps in prop::collection::vec((any::<bool>(), any::<u32>(), any::<u32>(), 0u8..5), 0..200),
+            start in (0u8..3, any::<u64>()),
+        ) {
+            let mut b = EventLogBuilder::new();
+            let mut time = match start {
+                (0, _) => 0,
+                (1, raw) => raw % (1 << 40),
+                (_, raw) => u64::MAX - raw % (1 << 20),
+            };
+            for &(node, x, y, gap) in &steps {
+                time = time.saturating_add(u64::from(x) >> (8 * gap));
+                let n = b.num_nodes();
+                let _ = if node || n < 2 {
+                    let origin = [Origin::Core, Origin::Competitor, Origin::PostMerge][y as usize % 3];
+                    b.add_node(Time(time), origin).map(drop)
+                } else {
+                    b.add_edge(Time(time), NodeId(x % n), NodeId(y % n))
+                };
+            }
+            let log = b.build();
+            prop_assert_eq!(log.fingerprint(), fingerprint_oracle(&log));
+        }
+    }
+
+    #[test]
+    fn a_refused_event_does_not_move_the_clock() {
+        let mut b = EventLogBuilder::new();
+        let a = b.add_node(t(0), Origin::Core).unwrap();
+        let c = b.add_node(t(0), Origin::Core).unwrap();
+        b.add_edge(t(1), a, c).unwrap();
+        assert!(b.add_edge(t(9), a, NodeId(7)).is_err());
+        assert!(b.add_edge(t(9), a, a).is_err());
+        assert!(b.add_edge(t(9), c, a).is_err());
+        let d = b.add_node(t(2), Origin::Core).unwrap();
+        b.add_edge(t(2), a, d).unwrap();
+        assert_eq!(
+            b.add_node(t(1), Origin::Core).unwrap_err(),
+            LogError::OutOfOrder {
+                index: 5,
+                time: t(1),
+                prev: t(2)
+            }
+        );
     }
 
     #[test]

@@ -28,6 +28,7 @@ impl FullAdjacencyBuilder {
         self.origins.push(origin);
         self.join_times.push(time);
         self.adj.push(Vec::new());
+        self.last_time = time;
         self.events.push(Event::node(time, id, origin));
         Ok(id)
     }
@@ -57,6 +58,7 @@ impl FullAdjacencyBuilder {
         let pos = self.adj[v.index()].binary_search(&u.0).unwrap_err();
         self.adj[v.index()].insert(pos, u.0);
         self.num_edges += 1;
+        self.last_time = time;
         self.events.push(Event::edge(time, u, v));
         Ok(())
     }
@@ -77,7 +79,8 @@ impl FullAdjacencyBuilder {
         self.adj.get(node.index()).map_or(0, |v| v.len())
     }
 
-    fn check_time(&mut self, time: Time) -> Result<(), LogError> {
+    /// Only an accepted event moves the clock.
+    fn check_time(&self, time: Time) -> Result<(), LogError> {
         if time < self.last_time {
             return Err(LogError::OutOfOrder {
                 index: self.events.len(),
@@ -85,7 +88,6 @@ impl FullAdjacencyBuilder {
                 prev: self.last_time,
             });
         }
-        self.last_time = time;
         Ok(())
     }
 }

@@ -5,7 +5,11 @@
 //! and moves. At random cut points `neighbors`, `degree`, `has_edge` and
 //! `freeze()` must match the oracle; a rejected event must leave the graph
 //! as it was and never reach the observer; and the observer must see both
-//! endpoints' lists as they were before each insert.
+//! endpoints' lists as they were before each insert. Three arrival
+//! orders are checked on top of the random ones, each the worst or best
+//! case for inserting from a list's end: every insert at the front, every
+//! insert an append, and one hub growing to 1,000 neighbours in shuffled
+//! order.
 
 use osn_graph::{
     CsrGraph, DeltaObserver, DynamicGraph, Event, EventKind, EventLog, EventLogBuilder, NodeId,
@@ -186,4 +190,96 @@ proptest! {
         let short: Vec<u32> = log.degrees().iter().map(|d| d.saturating_sub(1)).collect();
         replay_matches(DynamicGraph::with_degrees(&short), &log, &cuts)?;
     }
+}
+
+/// `nodes` nodes, then `edges` in the order given, one second apart.
+fn log_of(nodes: u32, edges: impl IntoIterator<Item = (u32, u32)>) -> EventLog {
+    let mut b = EventLogBuilder::new();
+    for _ in 0..nodes {
+        b.add_node(Time(0), Origin::Core).expect("dense ids");
+    }
+    for (i, (u, v)) in edges.into_iter().enumerate() {
+        b.add_edge(Time(1 + i as u64), NodeId(u), NodeId(v))
+            .expect("a new edge between known nodes");
+    }
+    b.build()
+}
+
+/// Where each insert of `log` lands: `(position, length before)`.
+fn insert_places(log: &EventLog) -> Vec<(usize, usize)> {
+    let mut lists: Vec<Vec<u32>> = vec![Vec::new(); log.num_nodes() as usize];
+    let mut places = Vec::new();
+    for (_, u, v) in log.edge_events() {
+        for (a, b) in [(u, v), (v, u)] {
+            let list = &mut lists[a.index()];
+            let pos = list.binary_search(&b.0).expect_err("a new edge");
+            places.push((pos, list.len()));
+            list.insert(pos, b.0);
+        }
+    }
+    places
+}
+
+/// The three layouts on one log, cut a third and two thirds of the way in.
+fn every_layout_matches(log: &EventLog) {
+    let n = log.events().len() as u32;
+    let cuts = [n / 3, 2 * n / 3];
+    let short: Vec<u32> = log.degrees().iter().map(|d| d.saturating_sub(1)).collect();
+    for g in [
+        DynamicGraph::with_degrees(log.degrees()),
+        DynamicGraph::new(),
+        DynamicGraph::with_degrees(&short),
+    ] {
+        replay_matches(g, log, &cuts).expect("matches the oracle");
+    }
+}
+
+#[test]
+fn lists_match_when_every_insert_lands_at_the_front() {
+    // Pairs in falling order: each list only ever receives an id below
+    // every id it holds.
+    let n = 48;
+    let log = log_of(
+        n,
+        (0..n)
+            .rev()
+            .flat_map(|a| (a + 1..n).rev().map(move |b| (a, b))),
+    );
+    let places = insert_places(&log);
+    assert_eq!(places.len(), (n * (n - 1)) as usize);
+    assert!(places.iter().all(|&(pos, _)| pos == 0));
+    every_layout_matches(&log);
+}
+
+#[test]
+fn lists_match_when_every_insert_is_an_append() {
+    let n = 48;
+    let log = log_of(n, (0..n).flat_map(|a| (a + 1..n).map(move |b| (a, b))));
+    let places = insert_places(&log);
+    assert_eq!(places.len(), (n * (n - 1)) as usize);
+    assert!(places.iter().all(|&(pos, len)| pos == len));
+    every_layout_matches(&log);
+}
+
+#[test]
+fn lists_match_when_one_hub_grows_to_a_thousand_neighbours() {
+    // The generator's `friend_cap`: hub 500 meets every other node of
+    // 0..=1000 in an order shuffled by a fixed LCG.
+    let hub = 500;
+    let mut others: Vec<u32> = (0..=1000).filter(|&x| x != hub).collect();
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    for i in (1..others.len()).rev() {
+        state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1);
+        others.swap(i, (state >> 33) as usize % (i + 1));
+    }
+    let log = log_of(1001, others.iter().map(|&x| (hub, x)));
+    assert_eq!(log.degrees()[hub as usize], 1000);
+    let inside = insert_places(&log)
+        .iter()
+        .filter(|&&(pos, len)| 0 < pos && pos < len)
+        .count();
+    assert!(inside > 900, "only {inside} inserts land inside a list");
+    every_layout_matches(&log);
 }

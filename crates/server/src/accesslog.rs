@@ -1,11 +1,13 @@
 //! Structured access logging and serving-plane counters.
 //!
-//! One line per connection, mirroring the `run_manifest.csv` semantics
-//! of the batch pipelines: a stable `status=` verdict plus a `reason=`
-//! token drawn from the same vocabulary (`panicked`, `timed-out`,
-//! `transient-exhausted`, plus the serving-plane additions `shed`,
-//! `header-timeout`, `header-flood`, `malformed`, `connection-lost`,
-//! and `-` for clean requests).
+//! One line per request (a keep-alive connection writes one per request
+//! it carries), plus one, with method and path `-`, for a head that
+//! fails to read or a connection shed at accept. Lines mirror the
+//! `run_manifest.csv` semantics of the batch pipelines: a stable
+//! `status=` verdict plus a `reason=` token drawn from the same
+//! vocabulary (`panicked`, `timed-out`, `transient-exhausted`, plus the
+//! serving-plane additions `shed`, `header-timeout`, `header-flood`,
+//! `malformed`, `connection-lost`, and `-` for clean requests).
 
 use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
